@@ -75,12 +75,41 @@ _ARRAY_ROUNDS = 4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A closed interval ``[lo, hi]``; ``lo > hi`` encodes ⊥ (no value)."""
+    """A closed interval ``[lo, hi]``; ``lo > hi`` encodes ⊥ (no value).
 
-    lo: float
-    hi: float
+    Immutable and compared by value (usable as a dict value, in sets and
+    in pickles).  A plain ``__slots__`` class rather than a frozen
+    dataclass: the fixpoint builds hundreds of thousands of these per
+    program, and the dataclass's per-field ``object.__setattr__`` calls
+    dominated its construction cost.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Interval is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Interval is immutable (cannot delete {name!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is Interval:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     # -- lattice ---------------------------------------------------------
 
@@ -96,11 +125,13 @@ class Interval:
         return self.lo <= value <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        if self.is_bottom:
+        lo, hi = self.lo, self.hi
+        if lo > hi:
             return other
-        if other.is_bottom:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        olo, ohi = other.lo, other.hi
+        if olo > ohi or (olo >= lo and ohi <= hi):
+            return self  # ``other`` is ⊥ or already contained
+        return Interval(min(lo, olo), max(hi, ohi))
 
     def meet(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -182,6 +213,9 @@ class Interval:
             return "⊥"
         return f"[{self.lo:g}, {self.hi:g}]"
 
+
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
 
 TOP = Interval(-_INF, _INF)
 BOTTOM = Interval(_INF, -_INF)
@@ -588,138 +622,224 @@ def _refine(
     return env
 
 
+# Decoded instruction kinds.  Each block is decoded once per analysis
+# into flat tuples ``(kind, iid, result, a, b, c)`` whose value operands
+# are a register name (str) or a pre-built constant Interval, so the hot
+# loop below dispatches on small ints instead of hashing Opcode members.
+(
+    _K_CONST, _K_LDVAR, _K_STVAR, _K_LOAD, _K_STORE, _K_UNARY, _K_BIN,
+    _K_DIVMOD, _K_CMP, _K_CALL, _K_CALLFN, _K_BR, _K_CONDBR,
+) = range(13)
+
+_UNARY_TRANSFER = {Opcode.NEG: iv_neg, Opcode.NOT: iv_not}
+
+
+def _operand(op):
+    """A value operand as the transfer reads it: register name or constant."""
+    if type(op) is Reg:
+        return op.name
+    return Interval(op.value, op.value)  # Imm
+
+
+def _decode_block(block: BasicBlock) -> Tuple[tuple, ...]:
+    out = []
+    for instr in block.instrs:
+        op = instr.opcode
+        ops = instr.operands
+        iid = instr.iid
+        res = instr.result.name if instr.result is not None else None
+        if op is Opcode.CONST:
+            out.append((_K_CONST, iid, res, _operand(ops[0]), None, None))
+        elif op is Opcode.LDVAR:
+            out.append((_K_LDVAR, iid, res, ops[0], None, None))
+        elif op is Opcode.STVAR:
+            out.append((_K_STVAR, iid, res, ops[0], _operand(ops[1]), None))
+        elif op is Opcode.LOAD:
+            out.append((_K_LOAD, iid, res, ops[0], _operand(ops[1]), None))
+        elif op is Opcode.STORE:
+            out.append(
+                (_K_STORE, iid, res, ops[0], _operand(ops[1]), _operand(ops[2]))
+            )
+        elif op in _UNARY_TRANSFER:
+            out.append(
+                (_K_UNARY, iid, res, _UNARY_TRANSFER[op], _operand(ops[0]), None)
+            )
+        elif op in _BIN_TRANSFER:
+            kind = _K_DIVMOD if op is Opcode.DIV or op is Opcode.MOD else _K_BIN
+            out.append((
+                kind, iid, res, _BIN_TRANSFER[op],
+                _operand(ops[0]), _operand(ops[1]),
+            ))
+        elif op is Opcode.CMP:
+            out.append((
+                _K_CMP, iid, res, instr.meta.get("pred", "ne"),
+                _operand(ops[0]), _operand(ops[1]),
+            ))
+        elif op is Opcode.CALL:
+            out.append((
+                _K_CALL, iid, res, _INTRINSIC_TRANSFER.get(ops[0]),
+                tuple(_operand(a) for a in ops[1:]), None,
+            ))
+        elif op is Opcode.CALLFN:
+            if res is not None:
+                out.append((_K_CALLFN, iid, res, None, None, None))
+        elif op is Opcode.BR:
+            out.append((_K_BR, iid, res, ops[0], None, None))
+        elif op is Opcode.CONDBR:
+            out.append((_K_CONDBR, iid, res, _operand(ops[0]), ops[1], ops[2]))
+        # RET, LOOPENTER / LOOPNEXT / LOOPEXIT (profiler bookkeeping) and a
+        # resultless CALLFN have no abstract effect
+    return tuple(out)
+
+
+class _FunctionCode:
+    """One function's blocks decoded on first use, plus the per-function
+    constants the fixpoint needs (widening thresholds, loaded arrays)."""
+
+    __slots__ = ("fn", "blocks", "thresholds", "loads")
+
+    def __init__(self, fn: IRFunction) -> None:
+        self.fn = fn
+        self.blocks: Dict[str, Tuple[tuple, ...]] = {}
+        self.thresholds = _fn_thresholds(fn)
+        self.loads = frozenset(
+            instr.operands[0]
+            for block in fn.blocks
+            for instr in block.instrs
+            if instr.opcode is Opcode.LOAD
+        )
+
+    def block(self, label: str) -> Tuple[tuple, ...]:
+        code = self.blocks.get(label)
+        if code is None:
+            code = self.blocks[label] = _decode_block(self.fn.block(label))
+        return code
+
+
+def _note(facts: Dict[int, InstrFacts], iid: int, name: str, iv) -> None:
+    fact = facts.get(iid)
+    if fact is None:
+        fact = facts[iid] = InstrFacts()
+    if name == "dead_edge":
+        fact.dead_edge = iv
+        return
+    old = getattr(fact, name)
+    setattr(fact, name, iv if old is None else old.join(iv))
+
+
 def _transfer_block(
-    fn: IRFunction,
-    block: BasicBlock,
+    code: Tuple[tuple, ...],
     env_in: Dict[str, Interval],
     arrays_iv: Dict[str, Interval],
-    store_joins: Optional[Dict[str, Interval]] = None,
+    stores: Optional[List[Tuple[str, Interval]]] = None,
     facts: Optional[Dict[int, InstrFacts]] = None,
 ) -> Dict[str, Optional[Dict[str, Interval]]]:
-    """Abstractly execute ``block`` from ``env_in``.
+    """Abstractly execute one decoded block from ``env_in``.
 
     Returns ``{successor_label: env_or_None}`` (None = provably-dead
-    edge).  When ``store_joins`` is given, joins every stored value into
-    it (the array-summary iteration); when ``facts`` is given, records
-    per-instruction :class:`InstrFacts` (the final reporting pass).
+    edge).  When ``stores`` is given, appends every ``(array, stored
+    value)`` to it (the array-summary iteration); when ``facts`` is
+    given, records per-instruction :class:`InstrFacts` (the final
+    reporting pass).
     """
     env = dict(env_in)
     regs: Dict[str, Interval] = {}
     var_origin: Dict[str, str] = {}        # reg -> var it was loaded from
     cmp_origin: Dict[str, _CmpOrigin] = {}
-
-    def val(op) -> Interval:
-        if type(op) is Reg:
-            return regs.get(op.name, TOP)
-        return Interval(op.value, op.value)  # Imm
-
-    def note(iid: int, **kw) -> None:
-        if facts is None:
-            return
-        fact = facts.get(iid)
-        if fact is None:
-            fact = facts[iid] = InstrFacts()
-        for name, iv in kw.items():
-            old = getattr(fact, name)
-            if name == "dead_edge":
-                setattr(fact, name, iv)
-            else:
-                setattr(fact, name, iv if old is None else old.join(iv))
-
     out: Dict[str, Optional[Dict[str, Interval]]] = {}
-    for instr in block.instrs:
-        op = instr.opcode
-        ops = instr.operands
-        if op is Opcode.CONST:
-            regs[instr.result.name] = Interval(ops[0].value, ops[0].value)
-        elif op is Opcode.LDVAR:
-            iv = env.get(ops[0], ZERO)
-            regs[instr.result.name] = iv
-            var_origin[instr.result.name] = ops[0]
-            note(instr.iid, value=iv)
-        elif op is Opcode.STVAR:
-            iv = val(ops[1])
-            env[ops[0]] = iv
+    for kind, iid, res, a, b, c in code:
+        if kind == _K_CONST:
+            regs[res] = a
+        elif kind == _K_LDVAR:
+            iv = env.get(a, ZERO)
+            regs[res] = iv
+            var_origin[res] = a
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        elif kind == _K_STVAR:
+            iv = regs.get(b, TOP) if b.__class__ is str else b
+            env[a] = iv
             # a later refinement through a cmp that read the old value
             # must not constrain the new one
-            stale = [r for r, v in var_origin.items() if v == ops[0]]
+            stale = [r for r, v in var_origin.items() if v == a]
             for r in stale:
                 del var_origin[r]
             for origin in cmp_origin.values():
-                if origin.lhs_var == ops[0]:
+                if origin.lhs_var == a:
                     origin.lhs_var = None
-                if origin.rhs_var == ops[0]:
+                if origin.rhs_var == a:
                     origin.rhs_var = None
-            note(instr.iid, value=iv)
-        elif op is Opcode.LOAD:
-            idx = val(ops[1])
-            loaded = arrays_iv.get(ops[0], TOP)
-            regs[instr.result.name] = loaded
-            note(instr.iid, index=idx, value=loaded)
-        elif op is Opcode.STORE:
-            idx = val(ops[1])
-            stored = val(ops[2])
-            if store_joins is not None:
-                store_joins[ops[0]] = store_joins.get(ops[0], BOTTOM).join(
-                    stored
-                )
-            note(instr.iid, index=idx, value=stored)
-        elif op is Opcode.NEG:
-            regs[instr.result.name] = iv_neg(val(ops[0]))
-        elif op is Opcode.NOT:
-            regs[instr.result.name] = iv_not(val(ops[0]))
-        elif op in _BIN_TRANSFER:
-            a, b = val(ops[0]), val(ops[1])
-            regs[instr.result.name] = _BIN_TRANSFER[op](a, b)
-            if op is Opcode.DIV or op is Opcode.MOD:
-                note(instr.iid, divisor=b)
-        elif op is Opcode.CMP:
-            a, b = val(ops[0]), val(ops[1])
-            pred = instr.meta.get("pred", "ne")
-            regs[instr.result.name] = iv_cmp(pred, a, b)
-            lhs_var = ops[0].name if type(ops[0]) is Reg else None
-            rhs_var = ops[1].name if type(ops[1]) is Reg else None
-            cmp_origin[instr.result.name] = _CmpOrigin(
-                pred,
-                var_origin.get(lhs_var) if lhs_var else None, a,
-                var_origin.get(rhs_var) if rhs_var else None, b,
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        elif kind == _K_BIN:
+            regs[res] = a(
+                regs.get(b, TOP) if b.__class__ is str else b,
+                regs.get(c, TOP) if c.__class__ is str else c,
             )
-        elif op is Opcode.CALL:
-            transfer = _INTRINSIC_TRANSFER.get(ops[0])
-            args = [val(a) for a in ops[1:]]
-            iv = transfer(args) if transfer is not None else TOP
-            regs[instr.result.name] = iv
-            note(instr.iid, value=iv)
-        elif op is Opcode.CALLFN:
-            if instr.result is not None:
-                regs[instr.result.name] = TOP
-        elif op is Opcode.BR:
-            out[ops[0]] = env
-        elif op is Opcode.CONDBR:
-            cond = val(ops[0])
+        elif kind == _K_LOAD:
+            loaded = arrays_iv.get(a, TOP)
+            regs[res] = loaded
+            if facts is not None:
+                _note(facts, iid, "index",
+                      regs.get(b, TOP) if b.__class__ is str else b)
+                _note(facts, iid, "value", loaded)
+        elif kind == _K_CMP:
+            x = regs.get(b, TOP) if b.__class__ is str else b
+            y = regs.get(c, TOP) if c.__class__ is str else c
+            regs[res] = iv_cmp(a, x, y)
+            lhs_var = b if b.__class__ is str else None
+            rhs_var = c if c.__class__ is str else None
+            cmp_origin[res] = _CmpOrigin(
+                a,
+                var_origin.get(lhs_var) if lhs_var else None, x,
+                var_origin.get(rhs_var) if rhs_var else None, y,
+            )
+        elif kind == _K_CONDBR:
+            cond = regs.get(a, TOP) if a.__class__ is str else a
             true_env: Optional[Dict[str, Interval]] = env
             false_env: Optional[Dict[str, Interval]] = dict(env)
             if cond.definitely_true:
                 false_env = None
             elif cond.definitely_false:
                 true_env = None
-            origin = (
-                cmp_origin.get(ops[0].name) if type(ops[0]) is Reg else None
-            )
+            origin = cmp_origin.get(a) if a.__class__ is str else None
             if origin is not None:
                 if true_env is not None:
                     true_env = _refine(true_env, origin, True)
                 if false_env is not None:
                     false_env = _refine(false_env, origin, False)
-            if true_env is None and false_env is not None:
-                note(instr.iid, dead_edge=ops[1])
-            elif false_env is None and true_env is not None:
-                note(instr.iid, dead_edge=ops[2])
-            out[ops[1]] = true_env
-            out[ops[2]] = false_env
-        elif op is Opcode.RET:
-            pass
-        # LOOPENTER / LOOPNEXT / LOOPEXIT: profiler bookkeeping, no effect
+            if facts is not None:
+                if true_env is None and false_env is not None:
+                    _note(facts, iid, "dead_edge", b)
+                elif false_env is None and true_env is not None:
+                    _note(facts, iid, "dead_edge", c)
+            out[b] = true_env
+            out[c] = false_env
+        elif kind == _K_BR:
+            out[a] = env
+        elif kind == _K_STORE:
+            stored = regs.get(c, TOP) if c.__class__ is str else c
+            if stores is not None:
+                stores.append((a, stored))
+            if facts is not None:
+                _note(facts, iid, "index",
+                      regs.get(b, TOP) if b.__class__ is str else b)
+                _note(facts, iid, "value", stored)
+        elif kind == _K_DIVMOD:
+            y = regs.get(c, TOP) if c.__class__ is str else c
+            regs[res] = a(regs.get(b, TOP) if b.__class__ is str else b, y)
+            if facts is not None:
+                _note(facts, iid, "divisor", y)
+        elif kind == _K_UNARY:
+            regs[res] = a(regs.get(b, TOP) if b.__class__ is str else b)
+        elif kind == _K_CALL:
+            args = [regs.get(x, TOP) if x.__class__ is str else x for x in b]
+            iv = a(args) if a is not None else TOP
+            regs[res] = iv
+            if facts is not None:
+                _note(facts, iid, "value", iv)
+        else:  # _K_CALLFN with a result
+            regs[res] = TOP
     return out
 
 
@@ -740,11 +860,16 @@ def _join_env(
     return out
 
 
-def _env_leq(a: Dict[str, Interval], b: Dict[str, Interval]) -> bool:
-    for var in set(a) | set(b):
-        if not a.get(var, ZERO).leq(b.get(var, ZERO)):
-            return False
-    return True
+def _join_if_grows(
+    old: Dict[str, Interval], new: Dict[str, Interval]
+) -> Optional[Dict[str, Interval]]:
+    """``old ⊔ new``, or None when that join is ⊑ ``old`` (the block
+    input did not grow)."""
+    joined = _join_env(old, new)
+    for var, iv in joined.items():
+        if not iv.leq(old.get(var, ZERO)):
+            return joined
+    return None
 
 
 def _widen_env(
@@ -781,16 +906,17 @@ def _narrow_env(
 
 
 def _analyze_function(
-    fn: IRFunction,
+    code: _FunctionCode,
     arrays_iv: Dict[str, Interval],
-    store_joins: Optional[Dict[str, Interval]] = None,
-    facts: Optional[Dict[int, InstrFacts]] = None,
+    stores: List[Tuple[str, Interval]],
 ) -> Dict[str, Dict[str, Interval]]:
     """Run the intra-procedural fixpoint; returns reachable block-input
-    envs.  Parameters are ⊤ (any caller), unread scalars are 0.0."""
+    envs and appends every stored ``(array, value)`` to ``stores``.
+    Parameters are ⊤ (any caller), unread scalars are 0.0."""
+    fn = code.fn
     entry_env: Dict[str, Interval] = {p: TOP for p in fn.params}
     entry = fn.entry.label
-    thresholds = _fn_thresholds(fn)
+    thresholds = code.thresholds
     block_in: Dict[str, Dict[str, Interval]] = {entry: entry_env}
     changes: Dict[str, int] = {}
     worklist = deque([entry])
@@ -799,9 +925,7 @@ def _analyze_function(
     while worklist:
         label = worklist.popleft()
         queued.discard(label)
-        outs = _transfer_block(
-            fn, fn.block(label), block_in[label], arrays_iv
-        )
+        outs = _transfer_block(code.block(label), block_in[label], arrays_iv)
         for target, env_out in outs.items():
             if env_out is None:
                 continue
@@ -809,8 +933,8 @@ def _analyze_function(
             if old is None:
                 block_in[target] = dict(env_out)
             else:
-                joined = _join_env(old, env_out)
-                if _env_leq(joined, old):
+                joined = _join_if_grows(old, env_out)
+                if joined is None:
                     continue
                 count = changes.get(target, 0) + 1
                 changes[target] = count
@@ -830,7 +954,7 @@ def _analyze_function(
         edge_envs: Dict[str, List[Dict[str, Interval]]] = {}
         for label in labels:
             outs = _transfer_block(
-                fn, fn.block(label), block_in[label], arrays_iv
+                code.block(label), block_in[label], arrays_iv
             )
             for target, env_out in outs.items():
                 if env_out is not None:
@@ -852,14 +976,11 @@ def _analyze_function(
         if not changed:
             break
 
-    # reporting pass: record per-instruction facts / store joins over the
-    # stabilized states
-    if store_joins is not None or facts is not None:
-        for label in labels:
-            _transfer_block(
-                fn, fn.block(label), block_in[label], arrays_iv,
-                store_joins=store_joins, facts=facts,
-            )
+    # store pass over the stabilized states
+    for label in labels:
+        _transfer_block(
+            code.block(label), block_in[label], arrays_iv, stores=stores
+        )
     return block_in
 
 
@@ -870,16 +991,37 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
     from the deterministic ``[0, 1)`` initialization, analyze every
     function, join in everything any ``store`` may write, repeat (widening
     after a few rounds bounds accumulator-style growth).
+
+    A function's fixpoint reads the summaries only through ``load``, so
+    each round re-runs just the functions that load an array whose
+    summary changed; the others keep their previous block inputs and
+    stores, which the same summaries would reproduce exactly.  Stores are
+    joined in the same order as a full sweep, so the summaries are
+    bit-identical to re-running everything.  Once the summaries are
+    stable, the last block inputs *are* the fixpoint under them, and one
+    transfer sweep records the per-instruction facts.
     """
     init = Interval(0.0, 1.0)
     arrays_iv: Dict[str, Interval] = {name: init for name in program.arrays}
+    codes = {name: _FunctionCode(fn) for name, fn in program.functions.items()}
+    block_ins: Dict[str, Dict[str, Dict[str, Interval]]] = {}
+    stores: Dict[str, List[Tuple[str, Interval]]] = {}
+    stale = list(codes)
     rounds = 0
     while True:
+        for name in stale:
+            fn_stores = stores[name] = []
+            block_ins[name] = _analyze_function(
+                codes[name], arrays_iv, fn_stores
+            )
         store_joins: Dict[str, Interval] = {}
-        for fn in program.functions.values():
-            _analyze_function(fn, arrays_iv, store_joins=store_joins)
+        for name in codes:
+            for array, stored in stores[name]:
+                store_joins[array] = store_joins.get(array, BOTTOM).join(
+                    stored
+                )
         new_iv = {}
-        stable = True
+        changed = set()
         for name in program.arrays:
             joined = init.join(store_joins.get(name, BOTTOM))
             if rounds >= _ARRAY_ROUNDS:
@@ -887,19 +1029,24 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
             else:
                 joined = arrays_iv[name].join(joined)
             if joined != arrays_iv[name]:
-                stable = False
+                changed.add(name)
             new_iv[name] = joined
         arrays_iv = new_iv
         rounds += 1
-        if stable:
+        if not changed:
             break
+        stale = [name for name, code in codes.items() if code.loads & changed]
 
     functions: Dict[str, FunctionRanges] = {}
-    for fn_name, fn in program.functions.items():
-        franges = FunctionRanges(name=fn_name)
-        franges.block_in = _analyze_function(
-            fn, arrays_iv, facts=franges.facts
-        )
+    for fn_name, code in codes.items():
+        franges = FunctionRanges(name=fn_name, block_in=block_ins[fn_name])
+        for block in code.fn.blocks:
+            env = franges.block_in.get(block.label)
+            if env is not None:
+                _transfer_block(
+                    code.block(block.label), env, arrays_iv,
+                    facts=franges.facts,
+                )
         functions[fn_name] = franges
     return ProgramRanges(
         program=program, functions=functions, arrays=dict(arrays_iv)

@@ -84,6 +84,7 @@ from repro.experiments.table2 import format_table2, table2_dataset_statistics
 from repro.ir.lowering import lower_program
 from repro.ir.source_printer import program_to_source
 from repro.ir.verify import verify_program
+from repro.lint.shared_analysis import analysis_scope
 from repro.profiler import profile_program
 from repro.tools import AutoParLite, DiscoPoPClassifier, PlutoLite
 
@@ -460,6 +461,7 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
+@analysis_scope()  # IR rules, quarantine and DS005 share one analysis
 def _cmd_lint(args) -> int:
     _install_sigterm_handler()
     from repro.dataset.assemble import (
@@ -479,9 +481,11 @@ def _cmd_lint(args) -> int:
         lint_program,
         lint_quantized_consistency,
         lint_tape_consistency,
+        program_analysis,
         render_json,
         render_text,
     )
+    from repro.lint.dataset_rules import untransformed_variants
     from repro.peg.builder import build_peg
     from repro.peg.subgraph import all_loop_subpegs
     from repro.profiler import profile_program
@@ -515,22 +519,25 @@ def _cmd_lint(args) -> int:
 
     # -- IR + AST rules over every program variant the config builds ------
     programs = programs_for_config(config)
+    plain = untransformed_variants()
     for name in sorted(programs):
         program = programs[name]
         report.extend(lint_program(program, lint_cfg))
-        try:
-            ir = lower_program(program)
-        except _ReproError:
+        analysis = program_analysis(program)
+        if analysis.ir is None:
             continue  # assembly drops unlowerable variants; not lint's call
-        report.extend(lint_ir(ir, lint_cfg))
+        report.extend(lint_ir(analysis.ir, lint_cfg, ranges=analysis.ranges))
         if args.quick or "+" in name:
             continue  # deep mode: pipeline variants of base programs only
         for pipeline_name in config.pipelines:
             try:
-                variant = apply_pipeline(ir, pipeline_name)
+                variant = apply_pipeline(analysis.ir, pipeline_name)
             except _ReproError:
                 continue
-            report.extend(lint_ir(variant, lint_cfg))
+            # a zero-pass pipeline is a plain copy: its ranges are the
+            # shared analysis's
+            ranges = analysis.ranges if pipeline_name in plain else None
+            report.extend(lint_ir(variant, lint_cfg, ranges=ranges))
     note(f"  ir: {len(programs)} program(s) checked")
 
     # -- PEG rules over built graphs (deep mode: needs profiling) ----------

@@ -45,6 +45,7 @@ from repro.embeddings.inst2vec import Inst2Vec
 from repro.errors import DatasetError
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
+from repro.lint.shared_analysis import analysis_scope, program_analysis
 from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rngs, spawn_seeds
 
@@ -276,6 +277,7 @@ def build_extraction_tasks(
     return tasks
 
 
+@analysis_scope()  # quarantine and crossval share one analysis per program
 def _assemble(config: DatasetConfig) -> AssembledData:
     t_start = time.perf_counter()
     rng = ensure_rng(config.seed)
@@ -285,16 +287,7 @@ def _assemble(config: DatasetConfig) -> AssembledData:
 
     apps = _selected_apps(config)
 
-    # -- inst2vec trained on the base-program IR corpus --------------------
-    base_irs = []
-    for app in apps:
-        for program in app.programs:
-            ir = lower_program(program)
-            verify_program(ir)
-            base_irs.append(ir)
-    inst2vec = Inst2Vec(dim=config.inst2vec_dim).train(
-        base_irs, epochs=config.inst2vec_epochs, rng=i2v_rng
-    )
+    inst2vec = _train_inst2vec(apps, config, i2v_rng)
     walk_space = AnonymousWalkSpace(config.walk_length)
 
     # -- the deterministic task list, one pre-spawned seed per task --------
@@ -358,7 +351,6 @@ def _assemble(config: DatasetConfig) -> AssembledData:
         drops_by_app: Dict[str, List[DropRecord]] = {}
         for drop in run.drops:
             drops_by_app.setdefault(drop.app, []).append(drop)
-        range_memo: Dict[str, Dict[str, str]] = {}
         for app in missing:
             app_tasks = tasks_by_app[app.name]
             app_drops = drops_by_app.get(app.name, [])
@@ -367,9 +359,7 @@ def _assemble(config: DatasetConfig) -> AssembledData:
             for task in app_tasks:
                 samples = per_task[task.index]
                 if config.lint:
-                    samples = _quarantine(
-                        samples, task, stats, app_drops, range_memo
-                    )
+                    samples = _quarantine(samples, task, stats, app_drops)
                 (benchmark_clean if task.labels is not None
                  else generated_clean).extend(samples)
             payload = {
@@ -447,28 +437,18 @@ def _assemble(config: DatasetConfig) -> AssembledData:
     )
 
 
-def _range_error_loops(program, memo: Dict[str, Dict[str, str]]) -> Dict[str, str]:
-    """Loop ids condemned by the value-range rules (IR004–IR006 ERRORs)
-    for ``program``, mapped to the firing rule id.  Memoized per program
-    name: every pipeline/transform variant of a source program shares the
-    same loop ids, so one fixpoint run covers them all."""
-    key = program.name
-    if key not in memo:
-        condemned: Dict[str, str] = {}
-        try:
-            from repro.lint.core import LintReport
-            from repro.lint.ir_rules import check_ir_ranges
-
-            report = LintReport()
-            check_ir_ranges(report, lower_program(program))
-            for f in report.errors:
-                loop = f.details.get("loop")
-                if loop:
-                    condemned.setdefault(loop, f.rule_id)
-        except Exception:
-            condemned = {}  # unanalyzable program: extraction's problem
-        memo[key] = condemned
-    return memo[key]
+def _train_inst2vec(apps: Sequence[AppSpec], config: DatasetConfig, rng) -> Inst2Vec:
+    """inst2vec trained on the base-program IR corpus (the corpus is
+    dropped on return rather than held for the rest of the assembly)."""
+    base_irs = []
+    for app in apps:
+        for program in app.programs:
+            ir = lower_program(program)
+            verify_program(ir)
+            base_irs.append(ir)
+    return Inst2Vec(dim=config.inst2vec_dim).train(
+        base_irs, epochs=config.inst2vec_epochs, rng=rng
+    )
 
 
 def _quarantine(
@@ -476,12 +456,13 @@ def _quarantine(
     task: ExtractionTask,
     stats: AssemblyStats,
     drops: List[DropRecord],
-    range_memo: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[LoopSample]:
     """Drop samples with ERROR-level structural lint findings, plus
     samples from loops the value-range rules condemn (a provably
     out-of-bounds access or zero divisor means the loop's dynamic
-    profile — and therefore its oracle label — is garbage).
+    profile — and therefore its oracle label — is garbage).  The range
+    verdicts come from the program's shared analysis, which DS005
+    cross-validation reuses.
 
     Each quarantined sample becomes a ``DropRecord`` with reason
     ``lint:<RULEID>`` so broken extractions surface in
@@ -491,9 +472,7 @@ def _quarantine(
     from repro.lint.runner import lint_samples
 
     condemned = (
-        _range_error_loops(task.program, range_memo)
-        if range_memo is not None
-        else {}
+        program_analysis(task.program).range_error_loops if samples else {}
     )
     clean: List[LoopSample] = []
     for sample in samples:

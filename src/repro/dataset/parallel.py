@@ -174,7 +174,7 @@ class AssemblyStats:
                 f"{self.lint_quarantined} sample(s) quarantined"
             )
         if self.crossval:
-            lines.append(
+            line = (
                 "label crossval: "
                 f"{self.crossval.get('judged', 0)} judged, "
                 f"{self.crossval.get('provably_parallel', 0)} provably "
@@ -182,6 +182,12 @@ class AssemblyStats:
                 f"{self.crossval.get('provably_serial', 0)} provably serial, "
                 f"{self.crossval.get('contradictions', 0)} contradiction(s)"
             )
+            if self.crossval.get("unanalyzable"):
+                line += (
+                    f", {self.crossval['unanalyzable']} unanalyzable "
+                    "program(s)"
+                )
+            lines.append(line)
         lines.append(
             f"cache: dataset {'hit' if self.cache_hit else 'miss'}, "
             f"shards {self.shard_hits} hit / {self.shard_misses} miss"

@@ -63,6 +63,11 @@ from repro.lint.runner import (
     lint_samples,
     lint_tape_consistency,
 )
+from repro.lint.shared_analysis import (
+    ProgramAnalysis,
+    analysis_scope,
+    program_analysis,
+)
 from repro.lint.static_dep import (
     ProverContext,
     StaticVerdict,
@@ -83,11 +88,13 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintReport",
+    "ProgramAnalysis",
     "ProverContext",
     "Rule",
     "Severity",
     "StaticVerdict",
     "all_rules",
+    "analysis_scope",
     "analyze_loop_static",
     "build_prover_context",
     "get_rule",
@@ -100,6 +107,7 @@ __all__ = [
     "lint_quantized_consistency",
     "lint_samples",
     "lint_tape_consistency",
+    "program_analysis",
     "render_json",
     "render_text",
     "rule",

@@ -26,6 +26,7 @@ from repro.dataset.types import LoopDataset, LoopSample
 from repro.ir import ast_nodes as ast
 from repro.lint.core import LintReport, Severity, rule
 from repro.lint.graph_rules import check_graph_arrays
+from repro.lint.shared_analysis import analysis_scope, program_analysis
 from repro.lint.static_dep import StaticVerdict, static_loop_verdicts
 
 DS001 = rule(
@@ -129,6 +130,7 @@ def untransformed_variants() -> set:
     return {name for name, passes in OPT_PIPELINES.items() if not passes}
 
 
+@analysis_scope()  # the unanalyzable check and the prover share one analysis
 def cross_validate_labels(
     report: LintReport,
     samples: Sequence[LoopSample],
@@ -140,12 +142,17 @@ def cross_validate_labels(
     and with which verdicts) so callers can surface "the rule ran" in
     stats and tests — a cross-validator that silently judges nothing
     would be indistinguishable from a healthy dataset.
+
+    ``unanalyzable`` counts programs whose shared analysis failed (they
+    could not be lowered, or the range engine raised): their loops are
+    still judged, but by the classic prover without range facts.
     """
     plain = untransformed_variants()
     verdict_cache: Dict[str, Dict[str, object]] = {}
     counters = {
         "judged": 0, "provably_parallel": 0, "provably_serial": 0,
         "unknown": 0, "skipped": 0, "quirky": 0, "contradictions": 0,
+        "unanalyzable": 0,
     }
     for sample in samples:
         variant = sample.meta.get("variant")
@@ -159,6 +166,8 @@ def cross_validate_labels(
             counters["quirky"] += 1
             continue
         if program.name not in verdict_cache:
+            if not program_analysis(program).ok:
+                counters["unanalyzable"] += 1
             verdict_cache[program.name] = static_loop_verdicts(program)
         analysis = verdict_cache[program.name].get(sample.loop_id)
         if analysis is None:

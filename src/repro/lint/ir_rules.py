@@ -267,7 +267,8 @@ def check_ir_ranges(
             {"loop": loop_id, "kind": "zero_trip"},
         )
     # the fixpoint engine powers all three rules equally: split its wall
-    # time (plus the cheap walk) evenly so per-rule numbers stay honest
+    # time (plus the cheap walk) evenly so per-rule numbers stay honest;
+    # with precomputed ranges only the walk is timed here
     share = (time.perf_counter() - t0) * 1e3 / 3.0
     for rule_id, n in checked.items():
         report.note_rule(rule_id, checked=n, wall_ms=share)

@@ -116,9 +116,10 @@ def _unknown(loop_id: str, why: str) -> StaticLoopAnalysis:
 class ProverContext:
     """Whole-program facts the sharpened prover consumes.
 
-    Built once per program by :func:`build_prover_context` from the O0
-    lowering — the same IR the dynamic oracle profiles, so the reduction
-    sets are *the* sets the oracle excuses with, not an approximation.
+    Built once per program from its shared analysis
+    (:mod:`repro.lint.shared_analysis`) over the O0 lowering — the same
+    IR the dynamic oracle profiles, so the reduction sets are *the* sets
+    the oracle excuses with, not an approximation.
     """
 
     program: ast.Program
@@ -172,20 +173,13 @@ def _pure_functions(program: ast.Program) -> FrozenSet[str]:
     )
 
 
-def build_prover_context(program: ast.Program) -> Optional[ProverContext]:
-    """Lower ``program``, run the range engine and reduction recognizer,
-    and harvest symbolic facts.  Returns None when the program cannot be
-    lowered (the prover then falls back to its classic conservative
-    behavior)."""
-    from repro.analysis.ranges import analyze_program, harvest_enclosing_bounds
+def prover_context(program: ast.Program, ir, ranges) -> ProverContext:
+    """Assemble the prover context from ``program``'s O0 lowering ``ir``
+    and its value ranges: run the reduction recognizer and harvest the
+    symbolic facts."""
+    from repro.analysis.ranges import harvest_enclosing_bounds
     from repro.analysis.reduction import find_reductions
-    from repro.ir.lowering import lower_program
 
-    try:
-        ir = lower_program(program)
-        ranges = analyze_program(ir)
-    except Exception:
-        return None
     reductions: Dict[str, Dict[str, str]] = {}
     for fn in ir.functions.values():
         for loop_id in fn.loops:
@@ -200,6 +194,16 @@ def build_prover_context(program: ast.Program) -> Optional[ProverContext]:
         pure_functions=_pure_functions(program),
         enclosing_bounds=harvest_enclosing_bounds(program),
     )
+
+
+def build_prover_context(program: ast.Program) -> Optional[ProverContext]:
+    """The prover context of ``program``'s shared analysis
+    (:func:`repro.lint.shared_analysis.program_analysis`).  Returns None
+    when the program cannot be lowered or analysed (the prover then falls
+    back to its classic conservative behavior)."""
+    from repro.lint.shared_analysis import program_analysis
+
+    return program_analysis(program).context
 
 
 # ---------------------------------------------------------------------------

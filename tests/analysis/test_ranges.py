@@ -55,6 +55,49 @@ class TestIntervalLattice:
         assert BOTTOM.int_bounds() is None
 
 
+class TestIntervalContract:
+    """Behaviours callers rely on, whatever representation Interval takes."""
+
+    def test_value_equality(self):
+        assert Interval(0.0, 1.0) == Interval(0.0, 1.0)
+        assert Interval(0.0, 1.0) != Interval(0.0, 2.0)
+        assert not (Interval(0.0, 1.0) != Interval(0.0, 1.0))
+        assert Interval(0.0, 1.0) != (0.0, 1.0)
+        assert {"x": Interval(1.0, 2.0)} == {"x": Interval(1.0, 2.0)}
+
+    def test_hash_follows_equality(self):
+        assert hash(Interval(-INF, 3.0)) == hash(Interval(-INF, 3.0))
+        assert len({Interval(0.0, 1.0), Interval(0.0, 1.0), TOP, BOTTOM}) == 3
+        assert Interval(0.0, 1.0) in {Interval(0.0, 1.0)}
+
+    @pytest.mark.parametrize("iv", [Interval(-2.5, 7.0), TOP, BOTTOM])
+    def test_pickle_and_copy_round_trip(self, iv):
+        import copy
+        import pickle
+
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(iv, protocol=proto))
+            assert type(back) is Interval and back == iv
+            assert (back.lo, back.hi) == (iv.lo, iv.hi)
+        assert copy.deepcopy(iv) == iv
+
+    def test_attributes_cannot_be_mutated(self):
+        iv = Interval(0.0, 1.0)
+        with pytest.raises(AttributeError):
+            iv.lo = 5.0
+        with pytest.raises(AttributeError):
+            del iv.hi
+        with pytest.raises(AttributeError):
+            iv.extra = 1
+        assert (iv.lo, iv.hi) == (0.0, 1.0)
+
+    def test_join_returns_self_when_other_is_contained(self):
+        outer = Interval(0.0, 10.0)
+        assert outer.join(Interval(2.0, 3.0)) is outer
+        assert outer.join(BOTTOM) is outer
+        assert outer.join(Interval(2.0, 11.0)) == Interval(0.0, 11.0)
+
+
 class TestWidenNarrow:
     def test_widen_without_thresholds_blows_to_infinity(self):
         w = Interval(0, 4).widen(Interval(0, 5))

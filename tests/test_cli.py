@@ -57,6 +57,25 @@ class TestCli:
         assert "label crossval judged" in out
         assert "lint: clean" in out
 
+    def test_lint_analyses_each_program_once(self, capsys, tmp_path, monkeypatch):
+        from repro.dataset.assemble import DatasetConfig, programs_for_config
+        from repro.lint import shared_analysis
+
+        calls = []
+        real = shared_analysis.analyze_program
+
+        def counting(ir):
+            calls.append(ir.name)
+            return real(ir)
+
+        monkeypatch.setattr(shared_analysis, "analyze_program", counting)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["lint", "--tiny", "--quick"]) == 0
+        # IR rules, assembly quarantine, assembly crossval and DS005 all
+        # read one range fixpoint per program
+        programs = programs_for_config(DatasetConfig.tiny())
+        assert sorted(calls) == sorted(programs)
+
     def test_lint_json_output(self, capsys, tmp_path, monkeypatch):
         import json
 

@@ -5,7 +5,7 @@ export PYTHONPATH := src
 COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-quantize \
-	test-advisor test-ranges bench bench-runtime bench-train \
+	test-advisor test-ranges test-profiler bench bench-runtime bench-train \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -68,6 +68,13 @@ test-ranges:
 		tests/lint/test_shared_analysis.py \
 		tests/lint/test_static_dep.py \
 		tests/lint/test_corruption_matrix.py -q
+
+# Profiler wall: the golden profile digest (dependences, loop stats,
+# exec counts, arrays, faults and probe calls of every bundled program
+# under all six pipelines, recording on and off) plus the interpreter,
+# shadow-memory and static-profile unit tests (see docs/ARCHITECTURE.md).
+test-profiler:
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/profiler/ -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

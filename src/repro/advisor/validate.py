@@ -89,6 +89,10 @@ def bitwise_equal(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+def _packed(values: List[float]) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def compare_states(
     ref: Dict[str, List[float]],
     got: Dict[str, List[float]],
@@ -105,6 +109,9 @@ def compare_states(
         ref_vals, got_vals = ref[name], got.get(name)
         if got_vals is None or len(got_vals) != len(ref_vals):
             return f"array {name!r} missing or resized"
+        exact = name != OUT_ARRAY or not slots
+        if exact and _packed(ref_vals) == _packed(got_vals):
+            continue  # bitwise equal throughout
         for i, (a, b) in enumerate(zip(ref_vals, got_vals)):
             if name == OUT_ARRAY and i in slots:
                 diff = ulp_diff(a, b)
@@ -219,9 +226,10 @@ def _run_sequential(program: ast.Program, array_rng) -> Dict[str, List[float]]:
 
 
 def _kernel_context_blockers(
-    kernel: KernelSpec, array_rng
-) -> Optional[List[str]]:
-    """Dependences the *synthetic* kernel context introduced, if any.
+    kernel: KernelSpec, array_rng: int
+) -> Tuple[Optional[List[str]], Dict[str, List[float]]]:
+    """Dependences the *synthetic* kernel context introduced, if any, and
+    the kernel's final array state.
 
     An advised plan's loop is oracle-parallel in its real program.  The
     harness replaces loop-invariant context scalars with synthetic
@@ -232,6 +240,10 @@ def _kernel_context_blockers(
     kernel's own oracle disagrees with the real one.  Scalar races from
     a *bad plan* are unaffected — the oracle judges the loop (with
     privatization), not the plan.
+
+    The profiled run is also the sequential reference: recording does
+    not change values, and an int ``array_rng`` seeds the same arrays
+    that :func:`_run_sequential` would draw.
     """
     from repro.analysis.oracle import classify_loop
 
@@ -239,10 +251,11 @@ def _kernel_context_blockers(
     verify_program(ir)
     interp = Interpreter(ir, record=True, rng=array_rng)
     report = interp.run()
+    final = {k: list(v) for k, v in interp.arrays.items()}
     oracle = classify_loop(ir, report, kernel.loop_id)
     if oracle.parallel:
-        return None
-    return list(oracle.blockers) or ["kernel-context dependence"]
+        return None, final
+    return list(oracle.blockers) or ["kernel-context dependence"], final
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +304,10 @@ def validate_plan(
         return record(VALIDATION_UNVALIDATED, f"kernel extraction failed: {exc}")
 
     try:
-        blockers = _kernel_context_blockers(kernel, array_rng)
-    except Exception as exc:  # noqa: BLE001 — see reference handler below
+        blockers, ref = _kernel_context_blockers(kernel, array_rng)
+    except Exception as exc:  # noqa: BLE001 — any reference failure
+        # (interpreter fault, lowering error) means the loop cannot be
+        # execution-validated; advice falls back to its static tier
         return record(
             VALIDATION_UNVALIDATED, f"reference execution failed: {exc}"
         )
@@ -301,15 +316,6 @@ def validate_plan(
             VALIDATION_UNVALIDATED,
             "synthetic kernel context introduces dependences: "
             + "; ".join(blockers[:2]),
-        )
-
-    try:
-        ref = _run_sequential(kernel.program, array_rng)
-    except Exception as exc:  # noqa: BLE001 — any reference failure
-        # (interpreter fault, lowering error) means the loop cannot be
-        # execution-validated; advice falls back to its static tier
-        return record(
-            VALIDATION_UNVALIDATED, f"reference execution failed: {exc}"
         )
 
     for t in threads:

@@ -15,7 +15,7 @@ the per-iteration view.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.linear import IRFunction, Opcode, Reg
 from repro.profiler.report import DepKind, InstrKey, ProfileReport
@@ -25,10 +25,19 @@ _PSEUDO = {Opcode.LOOPENTER, Opcode.LOOPNEXT, Opcode.LOOPEXIT}
 
 
 def dependence_dag(
-    fn: IRFunction, loop_id: str, report: ProfileReport
+    fn: IRFunction,
+    loop_id: str,
+    report: ProfileReport,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> Tuple[List[InstrKey], Dict[InstrKey, List[InstrKey]]]:
-    """Nodes and forward adjacency of the per-iteration dependence DAG."""
-    blocks = loop_block_sets(fn).get(loop_id, set())
+    """Nodes and forward adjacency of the per-iteration dependence DAG.
+
+    ``block_sets`` is :func:`loop_block_sets` of ``fn``, for callers that
+    already computed it.
+    """
+    if block_sets is None:
+        block_sets = loop_block_sets(fn)
+    blocks = block_sets.get(loop_id, set())
     nodes: List[InstrKey] = []
     node_set: Set[InstrKey] = set()
     adj: Dict[InstrKey, List[InstrKey]] = {}
@@ -63,7 +72,13 @@ def critical_path_length(
     fn: IRFunction, loop_id: str, report: ProfileReport
 ) -> int:
     """Longest dependence chain (in instructions) within one loop iteration."""
-    nodes, adj = dependence_dag(fn, loop_id, report)
+    return longest_path(*dependence_dag(fn, loop_id, report))
+
+
+def longest_path(
+    nodes: List[InstrKey], adj: Dict[InstrKey, List[InstrKey]]
+) -> int:
+    """Longest path (in nodes) of a :func:`dependence_dag`."""
     if not nodes:
         return 0
     # Longest path via DFS with memoization; cycles (possible when aggregated
@@ -108,8 +123,8 @@ def graph_width(
     fn: IRFunction, loop_id: str, report: ProfileReport
 ) -> float:
     """Mean available parallelism of the per-iteration DAG: work / CFL."""
-    nodes, _ = dependence_dag(fn, loop_id, report)
-    cfl = critical_path_length(fn, loop_id, report)
+    nodes, adj = dependence_dag(fn, loop_id, report)
+    cfl = longest_path(nodes, adj)
     if cfl == 0:
         return 0.0
     return len(nodes) / cfl

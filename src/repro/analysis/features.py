@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.analysis.critical_path import critical_path_length, dependence_dag
+from repro.analysis.critical_path import dependence_dag, longest_path
 from repro.ir.linear import IRProgram, Opcode
 from repro.peg.graph import EdgeKind, NodeKind, PEG
 from repro.profiler.report import ProfileReport
-from repro.profiler.static_info import loop_instr_keys
+from repro.profiler.static_info import loop_block_sets, loop_instr_keys
 
 #: Canonical ordering of the Table I feature vector.
 FEATURE_NAMES = (
@@ -73,12 +73,21 @@ class LoopFeatures:
 
 
 def loop_features(
-    program: IRProgram, report: ProfileReport, loop_id: str
+    program: IRProgram,
+    report: ProfileReport,
+    loop_id: str,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> LoopFeatures:
-    """Compute the Table I features of ``loop_id``."""
+    """Compute the Table I features of ``loop_id``.
+
+    ``block_sets`` is :func:`loop_block_sets` of the loop's function, for
+    callers that compute the features of several loops of one function.
+    """
     info = program.all_loops()[loop_id]
     fn = program.function(info.function)
-    keys = loop_instr_keys(fn, loop_id)
+    if block_sets is None:
+        block_sets = loop_block_sets(fn)
+    keys = loop_instr_keys(fn, loop_id, block_sets)
 
     n_inst = sum(
         1
@@ -89,8 +98,8 @@ def loop_features(
     stats = report.loop_stats.get(loop_id)
     exec_times = stats.total_iterations if stats is not None else 0
 
-    cfl = critical_path_length(fn, loop_id, report)
-    nodes, _ = dependence_dag(fn, loop_id, report)
+    nodes, adj = dependence_dag(fn, loop_id, report, block_sets)
+    cfl = longest_path(nodes, adj)
     work = len(nodes)
     esp = _estimated_speedup(work, cfl)
 
@@ -128,15 +137,23 @@ def _estimated_speedup(work: int, cfl: int) -> float:
     return 1.0 / denom if denom > 0 else float(work)
 
 
-def attach_node_features(peg: PEG, program: IRProgram, report: ProfileReport) -> None:
+def attach_node_features(
+    peg: PEG, program: IRProgram, report: ProfileReport
+) -> Dict[str, LoopFeatures]:
     """Populate ``node.features`` for every PEG node in place.
 
     CU nodes get local dynamic features (size, execution count, dependence
     degrees); LOOP nodes get the full Table I vector; FUNC nodes get
     aggregate size features.  All features use log1p compression so the GCNs
     see comparable magnitudes across trip counts.
+
+    Returns the uncompressed Table I vector of every LOOP node by loop id,
+    each computed once, so sample extraction can reuse them.
     """
     loop_cache: Dict[str, LoopFeatures] = {}
+    # loop_block_sets per function, shared by all loops of the function
+    block_sets: Dict[str, Dict[str, Set[str]]] = {}
+    loops = program.all_loops()
     for node in peg.nodes.values():
         if node.kind is NodeKind.CU:
             in_deps = sum(
@@ -161,11 +178,16 @@ def attach_node_features(peg: PEG, program: IRProgram, report: ProfileReport) ->
                 "outgoing_dep": math.log1p(out_deps),
             }
         elif node.kind is NodeKind.LOOP and node.loop_id is not None:
-            if node.loop_id not in loop_cache:
-                loop_cache[node.loop_id] = loop_features(
-                    program, report, node.loop_id
+            feats = loop_cache.get(node.loop_id)
+            if feats is None:
+                fn_name = loops[node.loop_id].function
+                if fn_name not in block_sets:
+                    block_sets[fn_name] = loop_block_sets(
+                        program.function(fn_name)
+                    )
+                feats = loop_cache[node.loop_id] = loop_features(
+                    program, report, node.loop_id, block_sets[fn_name]
                 )
-            feats = loop_cache[node.loop_id]
             node.features = {
                 "n_inst": math.log1p(feats.n_inst),
                 "exec_times": math.log1p(feats.exec_times),
@@ -181,3 +203,4 @@ def attach_node_features(peg: PEG, program: IRProgram, report: ProfileReport) ->
             )
             node.features = {name: 0.0 for name in FEATURE_NAMES}
             node.features["n_inst"] = math.log1p(total)
+    return loop_cache

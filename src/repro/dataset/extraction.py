@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.features import FEATURE_NAMES, attach_node_features, loop_features
+from repro.analysis.features import FEATURE_NAMES, LoopFeatures, attach_node_features
 from repro.dataset.types import LoopSample
 from repro.embeddings.anonwalk import AnonymousWalkSpace, structural_node_features
 from repro.embeddings.inst2vec import Inst2Vec
@@ -60,7 +60,7 @@ def extract_loop_samples(
         verify_program(ir_program)
     report = profile_program(ir_program)
     peg = build_peg(ir_program, report)
-    attach_node_features(peg, ir_program, report)
+    loop_feats = attach_node_features(peg, ir_program, report)
 
     if labels is None:
         from repro.analysis.oracle import classify_all_loops
@@ -87,8 +87,7 @@ def extract_loop_samples(
             loop_id=loop_id,
             label=int(label),
             program=program,
-            ir_program=ir_program,
-            report=report,
+            feats=loop_feats[loop_id],
             inst2vec=inst2vec,
             walk_space=walk_space,
             suite=suite,
@@ -125,8 +124,7 @@ def _sample_from_subpeg(
     loop_id: str,
     label: int,
     program: Program,
-    ir_program: IRProgram,
-    report: ProfileReport,
+    feats: LoopFeatures,
     inst2vec: Inst2Vec,
     walk_space: AnonymousWalkSpace,
     suite: str,
@@ -173,8 +171,6 @@ def _sample_from_subpeg(
     statements: List[str] = []
     for node in ordered:
         statements.extend(node.statements)
-
-    feats = loop_features(ir_program, report, loop_id)
 
     sample = LoopSample(
         sample_id=f"{program.name}/{variant}/{loop_id}",

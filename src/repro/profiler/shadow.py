@@ -6,16 +6,22 @@ vector at access time.  Dependences are classified against the *outermost*
 common loop whose iteration differs (the loop that carries the dependence),
 including a per-loop *entry serial* so accesses from different activations of
 the same loop are never misattributed as loop-carried.
+
+Dependences are looked up in one ``(src, dst)`` table per kind, so the hot
+path never hashes a :class:`DepKind`; a dependence enters ``report.deps``
+(keyed ``(src, dst, kind)``) only when it is first seen, which keeps that
+dict's insertion order the order in which dependences first occur.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.profiler.report import DepInfo, DepKind, InstrKey, ProfileReport
 
 # An iteration vector entry: (loop_id, entry_serial, iteration)
 IterVec = Tuple[Tuple[str, int, int], ...]
+DepTable = Dict[Tuple[InstrKey, InstrKey], DepInfo]
 
 
 def carrying_loop(src_vec: IterVec, dst_vec: IterVec) -> Optional[str]:
@@ -28,45 +34,66 @@ def carrying_loop(src_vec: IterVec, dst_vec: IterVec) -> Optional[str]:
     sequentially ordered outside any common loop iteration structure, i.e.
     the dependence is not carried by any loop.
     """
-    n = min(len(src_vec), len(dst_vec))
-    for i in range(n):
-        s_loop, s_entry, s_iter = src_vec[i]
-        d_loop, d_entry, d_iter = dst_vec[i]
-        if s_loop != d_loop or s_entry != d_entry:
-            return None
-        if s_iter != d_iter:
-            return s_loop
+    if src_vec is dst_vec:
+        return None
+    # entries of a common prefix are usually the same tuple objects
+    for src, dst in zip(src_vec, dst_vec):
+        if src is not dst and src != dst:
+            if src[0] != dst[0] or src[1] != dst[1]:
+                return None
+            return src[0]
     return None
 
 
 class ShadowMemory:
-    """Tracks last writer / readers per address and emits dependences."""
+    """Tracks last writer / readers per address and emits dependences.
 
-    __slots__ = ("_last_write", "_last_reads", "_report")
+    Each address has one cell, ``[writer key, writer itervec, readers]``
+    with ``readers`` mapping reader key -> reader itervec (one slot per
+    static reader, in first-read order), held per symbol so an access
+    costs two plain dict lookups.
+    """
+
+    __slots__ = ("_cells", "_deps", "_raw", "_war", "_waw", "_last_carrier")
 
     def __init__(self, report: ProfileReport) -> None:
-        # addr -> (writer key, writer itervec)
-        self._last_write: Dict[Tuple[str, int], Tuple[InstrKey, IterVec]] = {}
-        # addr -> {reader key: reader itervec}  (one slot per static reader)
-        self._last_reads: Dict[Tuple[str, int], Dict[InstrKey, IterVec]] = {}
-        self._report = report
+        # symbol -> index -> [writer key, writer itervec, {reader: itervec}]
+        self._cells: Dict[str, Dict[int, List]] = {}
+        self._deps = report.deps
+        self._raw: DepTable = {}
+        self._war: DepTable = {}
+        self._waw: DepTable = {}
+        # (src itervec, dst itervec, carrier) of the last carried lookup:
+        # iteration vectors are immutable and shared by every access of one
+        # iteration, so consecutive dependences often repeat the pair
+        self._last_carrier: Tuple[IterVec, IterVec, Optional[str]] = ((), (), None)
 
     def _record(
         self,
+        table: DepTable,
+        kind: DepKind,
         src: InstrKey,
         dst: InstrKey,
-        kind: DepKind,
         symbol: str,
         src_vec: IterVec,
         dst_vec: IterVec,
     ) -> None:
-        deps = self._report.deps
-        dep_key = (src, dst, kind)
-        dep = deps.get(dep_key)
+        pair = (src, dst)
+        dep = table.get(pair)
         if dep is None:
-            dep = deps[dep_key] = DepInfo(src, dst, kind, symbol)
+            dep = table[pair] = self._deps[(src, dst, kind)] = DepInfo(
+                src, dst, kind, symbol
+            )
         dep.count += 1
-        carrier = carrying_loop(src_vec, dst_vec)
+        if src_vec is dst_vec:
+            dep.independent += 1
+            return
+        last = self._last_carrier
+        if last[0] is src_vec and last[1] is dst_vec:
+            carrier = last[2]
+        else:
+            carrier = carrying_loop(src_vec, dst_vec)
+            self._last_carrier = (src_vec, dst_vec, carrier)
         if carrier is None:
             dep.independent += 1
         else:
@@ -74,26 +101,38 @@ class ShadowMemory:
 
     def read(self, symbol: str, index: int, key: InstrKey, itervec: IterVec) -> None:
         """Record a read access; emits a RAW edge from the last writer."""
-        addr = (symbol, index)
-        writer = self._last_write.get(addr)
-        if writer is not None:
-            self._record(writer[0], key, DepKind.RAW, symbol, writer[1], itervec)
-        reads = self._last_reads.get(addr)
-        if reads is None:
-            self._last_reads[addr] = {key: itervec}
-        else:
-            reads[key] = itervec
+        cells = self._cells.get(symbol)
+        if cells is None:
+            cells = self._cells[symbol] = {}
+        cell = cells.get(index)
+        if cell is None:
+            cells[index] = [None, None, {key: itervec}]
+            return
+        if cell[0] is not None:
+            self._record(
+                self._raw, DepKind.RAW, cell[0], key, symbol, cell[1], itervec
+            )
+        cell[2][key] = itervec
 
     def write(self, symbol: str, index: int, key: InstrKey, itervec: IterVec) -> None:
         """Record a write access; emits WAR edges from readers and a WAW edge
         from the previous writer, then becomes the new last writer."""
-        addr = (symbol, index)
-        reads = self._last_reads.get(addr)
+        cells = self._cells.get(symbol)
+        if cells is None:
+            cells = self._cells[symbol] = {}
+        cell = cells.get(index)
+        if cell is None:
+            cells[index] = [key, itervec, {}]
+            return
+        reads = cell[2]
         if reads:
+            war = self._war
             for rkey, rvec in reads.items():
-                self._record(rkey, key, DepKind.WAR, symbol, rvec, itervec)
+                self._record(war, DepKind.WAR, rkey, key, symbol, rvec, itervec)
             reads.clear()
-        writer = self._last_write.get(addr)
-        if writer is not None:
-            self._record(writer[0], key, DepKind.WAW, symbol, writer[1], itervec)
-        self._last_write[addr] = (key, itervec)
+        if cell[0] is not None:
+            self._record(
+                self._waw, DepKind.WAW, cell[0], key, symbol, cell[1], itervec
+            )
+        cell[0] = key
+        cell[1] = itervec

@@ -77,9 +77,18 @@ def loop_block_sets(fn: IRFunction) -> Dict[str, Set[str]]:
     return out
 
 
-def loop_instr_keys(fn: IRFunction, loop_id: str) -> Set[Tuple[str, int]]:
-    """InstrKeys of all instructions inside ``loop_id`` (incl. nested loops)."""
-    blocks = loop_block_sets(fn).get(loop_id)
+def loop_instr_keys(
+    fn: IRFunction,
+    loop_id: str,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
+) -> Set[Tuple[str, int]]:
+    """InstrKeys of all instructions inside ``loop_id`` (incl. nested loops).
+
+    ``block_sets`` is :func:`loop_block_sets` of ``fn``, when already known.
+    """
+    if block_sets is None:
+        block_sets = loop_block_sets(fn)
+    blocks = block_sets.get(loop_id)
     if blocks is None:
         return set()
     keys: Set[Tuple[str, int]] = set()

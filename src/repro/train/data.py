@@ -26,7 +26,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.features import attach_node_features, loop_features
+from repro.analysis.features import attach_node_features
 from repro.dataset.types import LoopSample
 from repro.embeddings.anonwalk import AnonymousWalkSpace
 from repro.embeddings.inst2vec import Inst2Vec
@@ -67,7 +67,7 @@ def cached_loop_samples(
         verify_program(ir_program)
     report = profile_program(ir_program)
     peg = build_peg(ir_program, report)
-    attach_node_features(peg, ir_program, report)
+    loop_feats = attach_node_features(peg, ir_program, report)
 
     if labels is None:
         from repro.analysis.oracle import classify_all_loops
@@ -99,7 +99,7 @@ def cached_loop_samples(
         statements: List[str] = []
         for node in ordered:
             statements.extend(node.statements)
-        feats = loop_features(ir_program, report, loop_id)
+        feats = loop_feats[loop_id]
         sample = LoopSample(
             sample_id=f"{program.name}/{variant}/{loop_id}",
             loop_id=loop_id,

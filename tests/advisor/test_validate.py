@@ -127,6 +127,28 @@ class TestDifferentialSuite:
         assert any(s.startswith("adversarial:") for s in record.schedules)
         assert validated.advised
 
+    def test_kernel_reference_runs_once(self, monkeypatch):
+        import repro.advisor.validate as validate_module
+
+        lowered = []
+        lower = validate_module.lower_program
+
+        def counting_lower(program):
+            lowered.append(program.name)
+            return lower(program)
+
+        monkeypatch.setattr(validate_module, "lower_program", counting_lower)
+        program = build_doall_program()
+        plan = plans_for(program)["doall:main:L0"]
+        record = validate_plan(
+            program, plan, threads=THREADS, seeds=SEEDS
+        ).validation
+        assert record.status == VALIDATION_VALIDATED, record.detail
+        # the profiled kernel-context run doubles as the sequential
+        # reference: one lowering of the kernel, then one per thread count
+        # for the transformed program
+        assert len(lowered) == 1 + len(THREADS)
+
     def test_racy_plan_refuted_and_stripped(self):
         program, bad_plan = build_racy_demo()
         refuted = validate_plan(program, bad_plan, threads=THREADS, seeds=SEEDS)

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import InterpreterError
+from repro.errors import InterpreterError, IRError
 from repro.ir.builder import ProgramBuilder
+from repro.ir.linear import (
+    BasicBlock, Imm, Instr, IRFunction, IRProgram, Opcode, Reg,
+)
 from repro.ir.lowering import lower_program
 from repro.profiler.interpreter import Interpreter, profile_program, run_program
 
@@ -243,3 +246,71 @@ class TestLoopStats:
         report, _ = _run_main(body)
         stats = next(iter(report.loop_stats.values()))
         assert stats.dyn_instr_count > 5  # body + header overhead
+
+
+def _hand_built(blocks, arrays=None):
+    """A one-function IR program from ``[(label, [Instr, ...]), ...]``."""
+    fn = IRFunction(
+        "main", (), [BasicBlock(label, list(instrs)) for label, instrs in blocks]
+    )
+    return IRProgram("hand", {"main": fn}, dict(arrays or {}))
+
+
+class TestMalformedIR:
+    def test_loopnext_outside_a_loop_is_an_interpreter_error(self):
+        ir = _hand_built([("entry", [
+            Instr(0, Opcode.LOOPNEXT, ("L0",)),
+            Instr(1, Opcode.RET, ()),
+        ])])
+        with pytest.raises(InterpreterError, match="outside any loop"):
+            run_program(ir)
+
+    def test_loopnext_for_another_loop_is_an_interpreter_error(self):
+        ir = _hand_built([("entry", [
+            Instr(0, Opcode.LOOPENTER, ("L0",)),
+            Instr(1, Opcode.LOOPNEXT, ("L1",)),
+            Instr(2, Opcode.RET, ()),
+        ])])
+        with pytest.raises(InterpreterError, match="innermost loop is 'L0'"):
+            run_program(ir)
+
+    def test_dead_branch_to_unknown_block_does_not_fault(self):
+        ir = _hand_built([
+            ("entry", [Instr(0, Opcode.RET, (Imm(7.0),))]),
+            ("dead", [Instr(1, Opcode.BR, ("nowhere",))]),
+            ("dead2", [Instr(2, Opcode.CONDBR, (Imm(1.0), "entry", "nowhere"))]),
+        ])
+        assert run_program(ir).return_value == 7.0
+
+    def test_untaken_unknown_condbr_target_does_not_fault(self):
+        ir = _hand_built([
+            ("entry", [Instr(0, Opcode.CONDBR, (Imm(0.0), "nowhere", "done"))]),
+            ("done", [Instr(1, Opcode.RET, (Imm(3.0),))]),
+        ])
+        assert run_program(ir).return_value == 3.0
+
+    @pytest.mark.parametrize("cond", [0.0, 1.0])
+    def test_executed_branch_to_unknown_block_raises_ir_error(self, cond):
+        ir = _hand_built([
+            ("entry", [Instr(0, Opcode.CONDBR, (Imm(cond), "mid", "nowhere"))]),
+            ("mid", [Instr(1, Opcode.BR, ("nowhere",))]),
+        ])
+        with pytest.raises(IRError, match="has no block 'nowhere'"):
+            run_program(ir)
+
+    def test_unknown_intrinsic_faults_only_when_executed(self):
+        call = Instr(1, Opcode.CALL, ("nosuch", Imm(1.0)), Reg("r0"))
+        dead = _hand_built([
+            ("entry", [Instr(0, Opcode.RET, ())]), ("dead", [call]),
+        ])
+        assert run_program(dead).return_value is None
+        live = _hand_built([("entry", [call, Instr(2, Opcode.RET, ())])])
+        with pytest.raises(InterpreterError, match="unknown intrinsic 'nosuch'"):
+            run_program(live)
+
+    def test_ir_mutated_in_place_runs_fresh_code(self):
+        ret = Instr(0, Opcode.RET, (Imm(1.0),))
+        ir = _hand_built([("entry", [ret])])
+        assert run_program(ir).return_value == 1.0
+        ret.operands = (Imm(2.0),)
+        assert run_program(ir).return_value == 2.0

@@ -58,13 +58,15 @@ test-advisor:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/advisor/ -q
 
 # Value-range wall: interval-domain unit tests, fixpoint/soundness
-# checks over the bundled apps, the golden range digest, the shared
-# per-program analysis, the range-sharpened prover suite, and the
-# IR004-IR006 corruption rows (see docs/LINT.md).
+# checks over the bundled apps, the array-summary schedule, the golden
+# range digest, the shared per-program analysis, the range-sharpened
+# prover suite, the IR004-IR006 corruption rows (see docs/LINT.md), and
+# the verifier's dominators against the set-intersection reference.
 test-ranges:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/analysis/test_ranges.py \
 		tests/analysis/test_ranges_golden.py \
+		tests/ir/test_dominators.py \
 		tests/lint/test_shared_analysis.py \
 		tests/lint/test_static_dep.py \
 		tests/lint/test_corruption_matrix.py -q

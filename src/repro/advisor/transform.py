@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AdvisorError
 from repro.ir import ast_nodes as ast
+from repro.ir.ast_nodes import clone_program, clone_stmt, rename_expr
 from repro.advisor.plan import AdvicePlan
 
 #: reduction operator -> identity element for the per-chunk partial
@@ -67,96 +68,6 @@ class TransformResult:
     chunks: List[Chunk]           # non-empty chunks, in iteration order
     pre_stmts: List[ast.Stmt]     # privatized/partial initialization
     post_stmts: List[ast.Stmt]    # ordered merge + copy-back + exit value
-
-
-# ---------------------------------------------------------------------------
-# AST cloning / renaming (exprs are frozen and shareable; stmts are not)
-# ---------------------------------------------------------------------------
-
-
-def rename_expr(expr: ast.Expr, rename: Dict[str, str]) -> ast.Expr:
-    """Rebuild ``expr`` with scalar reads renamed per ``rename``."""
-    if isinstance(expr, ast.Var):
-        new = rename.get(expr.name)
-        return ast.Var(new) if new is not None else expr
-    if isinstance(expr, ast.Load):
-        return ast.Load(expr.array, rename_expr(expr.index, rename))
-    if isinstance(expr, ast.BinOp):
-        return ast.BinOp(
-            expr.op,
-            rename_expr(expr.lhs, rename),
-            rename_expr(expr.rhs, rename),
-        )
-    if isinstance(expr, ast.UnOp):
-        return ast.UnOp(expr.op, rename_expr(expr.operand, rename))
-    if isinstance(expr, ast.CallExpr):
-        return ast.CallExpr(
-            expr.fn, tuple(rename_expr(a, rename) for a in expr.args)
-        )
-    return expr  # Const
-
-
-def clone_stmt(stmt: ast.Stmt, rename: Optional[Dict[str, str]] = None) -> ast.Stmt:
-    """Deep-copy one statement, optionally renaming scalars throughout."""
-    r = rename or {}
-    if isinstance(stmt, ast.Assign):
-        return ast.Assign(
-            r.get(stmt.name, stmt.name), rename_expr(stmt.expr, r), stmt.line
-        )
-    if isinstance(stmt, ast.Store):
-        return ast.Store(
-            stmt.array, rename_expr(stmt.index, r),
-            rename_expr(stmt.expr, r), stmt.line,
-        )
-    if isinstance(stmt, ast.For):
-        return ast.For(
-            var=r.get(stmt.var, stmt.var),
-            lo=rename_expr(stmt.lo, r),
-            hi=rename_expr(stmt.hi, r),
-            body=[clone_stmt(s, rename) for s in stmt.body],
-            step=rename_expr(stmt.step, r),
-            loop_id=stmt.loop_id,
-            line=stmt.line,
-        )
-    if isinstance(stmt, ast.While):
-        return ast.While(
-            rename_expr(stmt.cond, r),
-            [clone_stmt(s, rename) for s in stmt.body], stmt.line,
-        )
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            rename_expr(stmt.cond, r),
-            [clone_stmt(s, rename) for s in stmt.then_body],
-            [clone_stmt(s, rename) for s in stmt.else_body],
-            stmt.line,
-        )
-    if isinstance(stmt, ast.CallStmt):
-        return ast.CallStmt(
-            stmt.fn, tuple(rename_expr(a, r) for a in stmt.args), stmt.line
-        )
-    if isinstance(stmt, ast.Return):
-        return ast.Return(
-            rename_expr(stmt.expr, r) if stmt.expr is not None else None,
-            stmt.line,
-        )
-    if isinstance(stmt, ast.Break):
-        return ast.Break(stmt.line)
-    raise AdvisorError(f"cannot clone statement {type(stmt).__name__}")
-
-
-def clone_program(program: ast.Program) -> ast.Program:
-    """Deep-copy a program (statement-level; frozen exprs are shared)."""
-    return ast.Program(
-        functions={
-            name: ast.Function(
-                fn.name, fn.params, [clone_stmt(s) for s in fn.body]
-            )
-            for name, fn in program.functions.items()
-        },
-        arrays=dict(program.arrays),
-        entry=program.entry,
-        name=program.name,
-    )
 
 
 # ---------------------------------------------------------------------------

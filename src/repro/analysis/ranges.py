@@ -13,7 +13,11 @@ Two cooperating layers:
   initialization joined with every value any ``store`` may write, iterated
   to its own fixpoint (functions communicate only through arrays, so this
   outer iteration is the whole interprocedural story; callee results and
-  parameters are ⊤).
+  parameters are ⊤).  The iteration joins each summary for up to
+  ``_ARRAY_ROUNDS`` rounds and then widens it, except that an array whose
+  loaded values can flow back into its own stores (on a flow-insensitive
+  value-dependence graph built while decoding) widens after one join
+  round: an accumulator only grows, so the extra rounds bought nothing.
 
 * **Symbolic facts** (:class:`EnclosingBound`): relational constraints
   harvested from enclosing ``For`` headers at the AST level — while a
@@ -40,7 +44,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import (
@@ -56,7 +62,7 @@ from repro.ir.linear import (
 #: Version of the range analysis.  Cached artifacts that embed range-backed
 #: verdicts (dataset shards revalidated by lint) record this and are
 #: invalidated when the analyzer changes.
-RANGE_ANALYSIS_VERSION = 1
+RANGE_ANALYSIS_VERSION = 2
 
 _INF = math.inf
 
@@ -641,45 +647,81 @@ def _operand(op):
     return Interval(op.value, op.value)  # Imm
 
 
-def _decode_block(block: BasicBlock) -> Tuple[tuple, ...]:
+def _decode_block(
+    block: BasicBlock, consts: Set[float], deps: Dict[object, Set[object]]
+) -> Tuple[tuple, ...]:
+    """Decode one block, adding every finite immediate to ``consts`` and
+    the block's value-dependence edges to ``deps`` (``source -> {sinks}``).
+
+    Dependence nodes are register names (str), ``("s", scalar)`` and
+    ``("a", array)``.  The graph over-approximates what the transfer can
+    move between them: a load reads its array, a store writes its value
+    (not its index) into its array, ``ldvar``/``stvar`` link registers
+    and scalars, every other result reads its register operands, and a
+    ``cmp`` of a scalar-loaded register against ``y`` feeds ``y`` into
+    the scalar (the branch refinement).  ``callfn`` results and
+    parameters are ⊤ in the engine and get no edge.
+    """
+
+    def edge(src, dst) -> None:
+        if src.__class__ is not Interval:  # constants carry nothing
+            deps.setdefault(src, set()).add(dst)
+
     out = []
+    var_origin: Dict[str, str] = {}  # reg -> scalar, as the transfer tracks it
     for instr in block.instrs:
         op = instr.opcode
         ops = instr.operands
+        for operand in ops:
+            if type(operand) is Imm and math.isfinite(operand.value):
+                consts.add(float(operand.value))
         iid = instr.iid
         res = instr.result.name if instr.result is not None else None
         if op is Opcode.CONST:
             out.append((_K_CONST, iid, res, _operand(ops[0]), None, None))
         elif op is Opcode.LDVAR:
             out.append((_K_LDVAR, iid, res, ops[0], None, None))
+            edge(("s", ops[0]), res)
+            var_origin[res] = ops[0]
         elif op is Opcode.STVAR:
-            out.append((_K_STVAR, iid, res, ops[0], _operand(ops[1]), None))
+            value = _operand(ops[1])
+            out.append((_K_STVAR, iid, res, ops[0], value, None))
+            edge(value, ("s", ops[0]))
+            for reg in [r for r, v in var_origin.items() if v == ops[0]]:
+                del var_origin[reg]
         elif op is Opcode.LOAD:
             out.append((_K_LOAD, iid, res, ops[0], _operand(ops[1]), None))
+            edge(("a", ops[0]), res)
         elif op is Opcode.STORE:
-            out.append(
-                (_K_STORE, iid, res, ops[0], _operand(ops[1]), _operand(ops[2]))
-            )
+            value = _operand(ops[2])
+            out.append((_K_STORE, iid, res, ops[0], _operand(ops[1]), value))
+            edge(value, ("a", ops[0]))
         elif op in _UNARY_TRANSFER:
-            out.append(
-                (_K_UNARY, iid, res, _UNARY_TRANSFER[op], _operand(ops[0]), None)
-            )
+            x = _operand(ops[0])
+            out.append((_K_UNARY, iid, res, _UNARY_TRANSFER[op], x, None))
+            edge(x, res)
         elif op in _BIN_TRANSFER:
             kind = _K_DIVMOD if op is Opcode.DIV or op is Opcode.MOD else _K_BIN
-            out.append((
-                kind, iid, res, _BIN_TRANSFER[op],
-                _operand(ops[0]), _operand(ops[1]),
-            ))
+            x, y = _operand(ops[0]), _operand(ops[1])
+            out.append((kind, iid, res, _BIN_TRANSFER[op], x, y))
+            edge(x, res)
+            edge(y, res)
         elif op is Opcode.CMP:
-            out.append((
-                _K_CMP, iid, res, instr.meta.get("pred", "ne"),
-                _operand(ops[0]), _operand(ops[1]),
-            ))
+            x, y = _operand(ops[0]), _operand(ops[1])
+            out.append((_K_CMP, iid, res, instr.meta.get("pred", "ne"), x, y))
+            edge(x, res)
+            edge(y, res)
+            if x.__class__ is str and x in var_origin:
+                edge(y, ("s", var_origin[x]))
+            if y.__class__ is str and y in var_origin:
+                edge(x, ("s", var_origin[y]))
         elif op is Opcode.CALL:
+            args = tuple(_operand(a) for a in ops[1:])
             out.append((
-                _K_CALL, iid, res, _INTRINSIC_TRANSFER.get(ops[0]),
-                tuple(_operand(a) for a in ops[1:]), None,
+                _K_CALL, iid, res, _INTRINSIC_TRANSFER.get(ops[0]), args, None,
             ))
+            for arg in args:
+                edge(arg, res)
         elif op is Opcode.CALLFN:
             if res is not None:
                 out.append((_K_CALLFN, iid, res, None, None, None))
@@ -693,27 +735,73 @@ def _decode_block(block: BasicBlock) -> Tuple[tuple, ...]:
 
 
 class _FunctionCode:
-    """One function's blocks decoded on first use, plus the per-function
-    constants the fixpoint needs (widening thresholds, loaded arrays)."""
+    """One function's blocks decoded in a single walk, plus what the
+    fixpoint needs beyond them: widening thresholds, the arrays it loads,
+    and ``array_flow`` — for each loaded array, the arrays its values can
+    reach through this function's registers, scalars and stores."""
 
-    __slots__ = ("fn", "blocks", "thresholds", "loads")
+    __slots__ = ("fn", "blocks", "thresholds", "loads", "array_flow")
 
     def __init__(self, fn: IRFunction) -> None:
         self.fn = fn
-        self.blocks: Dict[str, Tuple[tuple, ...]] = {}
-        self.thresholds = _fn_thresholds(fn)
-        self.loads = frozenset(
-            instr.operands[0]
+        # widening thresholds: every immediate constant in the function.
+        # Guard constants are the ones that matter (a bound lands on them
+        # and stabilizes); collecting all Imms is a cheap superset.
+        consts: Set[float] = {0.0}
+        deps: Dict[object, Set[object]] = {}
+        self.blocks: Dict[str, Tuple[tuple, ...]] = {
+            block.label: _decode_block(block, consts, deps)
             for block in fn.blocks
-            for instr in block.instrs
-            if instr.opcode is Opcode.LOAD
+        }
+        self.thresholds = tuple(sorted(consts))
+        # an array node has out-edges exactly where the function loads it
+        self.loads = frozenset(
+            node[1] for node in deps if node.__class__ is tuple and node[0] == "a"
         )
+        self.array_flow = {
+            array: _reached_arrays(deps, ("a", array)) for array in self.loads
+        }
 
-    def block(self, label: str) -> Tuple[tuple, ...]:
-        code = self.blocks.get(label)
-        if code is None:
-            code = self.blocks[label] = _decode_block(self.fn.block(label))
-        return code
+
+def _reached_arrays(
+    deps: Dict[object, Set[object]], source: object
+) -> FrozenSet[str]:
+    """Arrays reachable from ``source`` without passing through an array
+    (those hops are composed program-wide by :func:`_self_feeding`)."""
+    seen: Set[object] = set()
+    stack = [source]
+    arrays = set()
+    while stack:
+        for sink in deps.get(stack.pop(), ()):
+            if sink in seen:
+                continue
+            seen.add(sink)
+            if sink.__class__ is tuple and sink[0] == "a":
+                arrays.add(sink[1])
+            else:
+                stack.append(sink)
+    return frozenset(arrays)
+
+
+def _self_feeding(codes: Iterable[_FunctionCode]) -> Set[str]:
+    """Arrays whose loaded values can flow back into themselves, through
+    any chain of functions and arrays (functions share nothing else)."""
+    flow: Dict[str, Set[str]] = {}
+    for code in codes:
+        for array, sinks in code.array_flow.items():
+            flow.setdefault(array, set()).update(sinks)
+    out = set()
+    for array in flow:
+        seen: Set[str] = set()
+        stack = [array]
+        while stack:
+            for sink in flow.get(stack.pop(), ()):
+                if sink not in seen:
+                    seen.add(sink)
+                    stack.append(sink)
+        if array in seen:
+            out.add(array)
+    return out
 
 
 def _note(facts: Dict[int, InstrFacts], iid: int, name: str, iv) -> None:
@@ -741,8 +829,12 @@ def _transfer_block(
     value)`` to it (the array-summary iteration); when ``facts`` is
     given, records per-instruction :class:`InstrFacts` (the final
     reporting pass).
+
+    Environments are never mutated once built, so ``env_in`` is copied
+    only at the first ``stvar`` and successors may share one dict.
     """
-    env = dict(env_in)
+    env = env_in
+    owned = False
     regs: Dict[str, Interval] = {}
     var_origin: Dict[str, str] = {}        # reg -> var it was loaded from
     cmp_origin: Dict[str, _CmpOrigin] = {}
@@ -758,6 +850,9 @@ def _transfer_block(
                 _note(facts, iid, "value", iv)
         elif kind == _K_STVAR:
             iv = regs.get(b, TOP) if b.__class__ is str else b
+            if not owned:
+                env = dict(env)
+                owned = True
             env[a] = iv
             # a later refinement through a cmp that read the old value
             # must not constrain the new one
@@ -797,7 +892,7 @@ def _transfer_block(
         elif kind == _K_CONDBR:
             cond = regs.get(a, TOP) if a.__class__ is str else a
             true_env: Optional[Dict[str, Interval]] = env
-            false_env: Optional[Dict[str, Interval]] = dict(env)
+            false_env: Optional[Dict[str, Interval]] = env
             if cond.definitely_true:
                 false_env = None
             elif cond.definitely_false:
@@ -864,11 +959,18 @@ def _join_if_grows(
     old: Dict[str, Interval], new: Dict[str, Interval]
 ) -> Optional[Dict[str, Interval]]:
     """``old ⊔ new``, or None when that join is ⊑ ``old`` (the block
-    input did not grow)."""
-    joined = _join_env(old, new)
-    for var, iv in joined.items():
-        if not iv.leq(old.get(var, ZERO)):
-            return joined
+    input did not grow).  The join is built only once ``new`` is known
+    to escape ``old`` somewhere: ``old ⊔ new ⊑ old`` iff ``new ⊑ old``."""
+    for var, iv in new.items():
+        lo, hi = iv.lo, iv.hi
+        if lo <= hi:  # ⊥ is below everything
+            o = old.get(var, ZERO)
+            if not (o.lo <= lo and hi <= o.hi):
+                return _join_env(old, new)
+    for var, o in old.items():
+        # a variable missing from ``new`` reads as 0.0 there
+        if var not in new and not (o.lo <= 0.0 <= o.hi):
+            return _join_env(old, new)
     return None
 
 
@@ -881,19 +983,6 @@ def _widen_env(
     for var in set(old) | set(new):
         out[var] = old.get(var, ZERO).widen(new.get(var, ZERO), thresholds)
     return out
-
-
-def _fn_thresholds(fn: IRFunction) -> Tuple[float, ...]:
-    """Widening thresholds: every immediate constant in the function.
-    Guard constants are the ones that matter (a bound lands on them and
-    stabilizes); collecting all Imms is a cheap superset."""
-    vals: Set[float] = {0.0}
-    for block in fn.blocks:
-        for instr in block.instrs:
-            for op in instr.operands:
-                if type(op) is Imm and math.isfinite(op.value):
-                    vals.add(float(op.value))
-    return tuple(sorted(vals))
 
 
 def _narrow_env(
@@ -914,10 +1003,21 @@ def _analyze_function(
     envs and appends every stored ``(array, value)`` to ``stores``.
     Parameters are ⊤ (any caller), unread scalars are 0.0."""
     fn = code.fn
+    blocks = code.blocks
     entry_env: Dict[str, Interval] = {p: TOP for p in fn.params}
     entry = fn.entry.label
     thresholds = code.thresholds
     block_in: Dict[str, Dict[str, Interval]] = {entry: entry_env}
+    # each block's last transfer: (successor envs, stores)
+    last: Dict[str, tuple] = {}
+
+    def transfer(label: str) -> None:
+        block_stores: List[Tuple[str, Interval]] = []
+        outs = _transfer_block(
+            blocks[label], block_in[label], arrays_iv, block_stores
+        )
+        last[label] = (outs, block_stores)
+
     changes: Dict[str, int] = {}
     worklist = deque([entry])
     queued = {entry}
@@ -925,13 +1025,13 @@ def _analyze_function(
     while worklist:
         label = worklist.popleft()
         queued.discard(label)
-        outs = _transfer_block(code.block(label), block_in[label], arrays_iv)
-        for target, env_out in outs.items():
+        transfer(label)
+        for target, env_out in last[label][0].items():
             if env_out is None:
                 continue
             old = block_in.get(target)
             if old is None:
-                block_in[target] = dict(env_out)
+                block_in[target] = env_out
             else:
                 joined = _join_if_grows(old, env_out)
                 if joined is None:
@@ -948,15 +1048,17 @@ def _analyze_function(
     # narrowing: recompute each reachable block's input from its
     # predecessors' refined edges, replacing only widened (infinite)
     # bounds — each sweep keeps the state a post-fixpoint, so any number
-    # of sweeps is sound
+    # of sweeps is sound.  The ascending loop ran until no input grew, so
+    # every block's last transfer there already read its current input:
+    # the first sweep reuses those instead of recomputing them.
     labels = [b.label for b in fn.blocks if b.label in block_in]
-    for _ in range(_NARROW_PASSES):
+    for sweep in range(_NARROW_PASSES):
+        if sweep:
+            for label in labels:
+                transfer(label)
         edge_envs: Dict[str, List[Dict[str, Interval]]] = {}
         for label in labels:
-            outs = _transfer_block(
-                code.block(label), block_in[label], arrays_iv
-            )
-            for target, env_out in outs.items():
+            for target, env_out in last[label][0].items():
                 if env_out is not None:
                     edge_envs.setdefault(target, []).append(env_out)
         changed = False
@@ -975,12 +1077,15 @@ def _analyze_function(
                 changed = True
         if not changed:
             break
+    else:
+        # the last sweep moved some input, so its transfers are stale
+        for label in labels:
+            transfer(label)
 
-    # store pass over the stabilized states
+    # the stores of the transfers from the stabilized inputs (the store
+    # pass), in layout order
     for label in labels:
-        _transfer_block(
-            code.block(label), block_in[label], arrays_iv, stores=stores
-        )
+        stores.extend(last[label][1])
     return block_in
 
 
@@ -989,21 +1094,28 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
 
     Array value summaries are iterated to a program-level fixpoint: start
     from the deterministic ``[0, 1)`` initialization, analyze every
-    function, join in everything any ``store`` may write, repeat (widening
-    after a few rounds bounds accumulator-style growth).
+    function, join in everything any ``store`` may write, repeat.  An
+    array whose loaded values can flow back into its own stores (an
+    accumulator ``a[i] = a[i] + 1``, found on the value-dependence graph
+    of :func:`_decode_block`) widens to ±∞ from the second round on;
+    every other array gets ``_ARRAY_ROUNDS`` join rounds first, so chains
+    like ``b[i] = a[i] + 1`` keep finite summaries.  Widening earlier is
+    always sound; the price is that a self-feeding array which would
+    have stabilized within the join rounds (a saturating
+    ``a[i] = min(a[i] + 1, 5)``) now ends at ∞.
 
     A function's fixpoint reads the summaries only through ``load``, so
     each round re-runs just the functions that load an array whose
     summary changed; the others keep their previous block inputs and
-    stores, which the same summaries would reproduce exactly.  Stores are
-    joined in the same order as a full sweep, so the summaries are
-    bit-identical to re-running everything.  Once the summaries are
-    stable, the last block inputs *are* the fixpoint under them, and one
-    transfer sweep records the per-instruction facts.
+    stores, which the same summaries would reproduce exactly.  Interval
+    joins are exact, so the summaries equal re-running everything.  Once
+    the summaries are stable, the last block inputs *are* the fixpoint
+    under them, and one transfer sweep records the per-instruction facts.
     """
     init = Interval(0.0, 1.0)
     arrays_iv: Dict[str, Interval] = {name: init for name in program.arrays}
     codes = {name: _FunctionCode(fn) for name, fn in program.functions.items()}
+    self_feeding = _self_feeding(codes.values())
     block_ins: Dict[str, Dict[str, Dict[str, Interval]]] = {}
     stores: Dict[str, List[Tuple[str, Interval]]] = {}
     stale = list(codes)
@@ -1024,7 +1136,7 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
         changed = set()
         for name in program.arrays:
             joined = init.join(store_joins.get(name, BOTTOM))
-            if rounds >= _ARRAY_ROUNDS:
+            if rounds >= _ARRAY_ROUNDS or (rounds and name in self_feeding):
                 joined = arrays_iv[name].widen(joined)
             else:
                 joined = arrays_iv[name].join(joined)
@@ -1044,7 +1156,7 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
             env = franges.block_in.get(block.label)
             if env is not None:
                 _transfer_block(
-                    code.block(block.label), env, arrays_iv,
+                    code.blocks[block.label], env, arrays_iv,
                     facts=franges.facts,
                 )
         functions[fn_name] = franges

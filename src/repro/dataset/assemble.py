@@ -45,7 +45,11 @@ from repro.embeddings.inst2vec import Inst2Vec
 from repro.errors import DatasetError
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
-from repro.lint.shared_analysis import analysis_scope, program_analysis
+from repro.lint.shared_analysis import (
+    analysis_scope,
+    program_analysis,
+    program_fingerprint,
+)
 from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rngs, spawn_seeds
 
@@ -212,8 +216,13 @@ def build_extraction_tasks(
     extraction seed — is independent of which shards are later cached.
     """
     tasks: List[ExtractionTask] = []
+    # every variant of one program object shares its content key
+    keys: Dict[int, str] = {}
 
     def add(program, labels, suite, app_name, variant, required, quirks=()):
+        key = keys.get(id(program))
+        if key is None:
+            key = keys[id(program)] = program_fingerprint(program)
         tasks.append(
             ExtractionTask(
                 index=len(tasks),
@@ -224,6 +233,7 @@ def build_extraction_tasks(
                 variant=variant,
                 required=required,
                 quirk_loops=tuple(quirks),
+                program_key=key,
             )
         )
 
@@ -471,9 +481,10 @@ def _quarantine(
     """
     from repro.lint.runner import lint_samples
 
-    condemned = (
-        program_analysis(task.program).range_error_loops if samples else {}
-    )
+    condemned: Dict[str, str] = {}
+    if samples:
+        analysis = program_analysis(task.program, task.program_key or None)
+        condemned = analysis.range_error_loops
     clean: List[LoopSample] = []
     for sample in samples:
         if sample.loop_id in condemned:

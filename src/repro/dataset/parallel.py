@@ -66,7 +66,10 @@ class ExtractionTask:
     is deliberate annotation noise (cf. IS #452) — their samples get
     ``meta["annotation_quirk"]`` so the DS005 cross-validator knows the
     label is untrusted by design.  ``required`` tasks abort assembly on
-    persistent failure instead of being dropped.
+    persistent failure instead of being dropped.  ``program_key`` is the
+    program's content key (``program_fingerprint``), computed once per
+    program object when the task list is built; empty means "derive it
+    when needed".
     """
 
     index: int
@@ -78,6 +81,7 @@ class ExtractionTask:
     seed: int = 0
     required: bool = False
     quirk_loops: Tuple[str, ...] = ()
+    program_key: str = ""
 
     def describe(self) -> str:
         return f"{self.program.name}/{self.variant}"

@@ -2,7 +2,7 @@
 
 "We use transformations such as modifying the operation type and loop order
 to generate more data."  Three transforms are provided; all operate on a
-deep-copied AST, and the pipeline *re-labels every transformed loop with the
+copied AST, and the pipeline *re-labels every transformed loop with the
 dynamic oracle* (the paper relabels with DiscoPoP/Pluto when annotations do
 not carry over):
 
@@ -19,7 +19,6 @@ not carry over):
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,13 +34,9 @@ from repro.ir.ast_nodes import (
     Program,
     Store,
     Var,
+    clone_program,
 )
 from repro.utils.rng import RngLike, ensure_rng
-
-
-def clone_program_ast(program: Program) -> Program:
-    """Deep copy of a MiniC program (statements are mutable)."""
-    return copy.deepcopy(program)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +56,7 @@ def op_substitution(
     introduced (fault safety).
     """
     rng = ensure_rng(rng)
-    out = clone_program_ast(program)
+    out = clone_program(program)
 
     def rewrite(expr: ast.Expr) -> ast.Expr:
         if isinstance(expr, BinOp):
@@ -109,7 +104,7 @@ def _is_perfect_nest(stmt: For) -> bool:
 
 def loop_order_modification(program: Program, rng: RngLike = 0) -> Program:
     """Interchange every perfectly nested constant-bound 2-nest."""
-    out = clone_program_ast(program)
+    out = clone_program(program)
     changed = 0
     for fn in out.functions.values():
         for stmt in ast.walk_stmts(fn.body):
@@ -141,7 +136,7 @@ def dependence_injection(
     non-parallelizable.
     """
     rng = ensure_rng(rng)
-    out = clone_program_ast(program)
+    out = clone_program(program)
     serial = 0
     for fn in out.functions.values():
         serial += _inject_in_body(out, fn.body, rng, fraction, serial)

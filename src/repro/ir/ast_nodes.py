@@ -310,6 +310,93 @@ def stmt_exprs(stmt: Stmt) -> Sequence[Expr]:
     return ()
 
 
+def rename_expr(expr: Expr, rename: Dict[str, str]) -> Expr:
+    """Rebuild ``expr`` with scalar reads renamed per ``rename``."""
+    if isinstance(expr, Var):
+        new = rename.get(expr.name)
+        return Var(new) if new is not None else expr
+    if isinstance(expr, Load):
+        return Load(expr.array, rename_expr(expr.index, rename))
+    if isinstance(expr, BinOp):
+        return BinOp(
+            expr.op,
+            rename_expr(expr.lhs, rename),
+            rename_expr(expr.rhs, rename),
+        )
+    if isinstance(expr, UnOp):
+        return UnOp(expr.op, rename_expr(expr.operand, rename))
+    if isinstance(expr, CallExpr):
+        return CallExpr(
+            expr.fn, tuple(rename_expr(a, rename) for a in expr.args)
+        )
+    return expr  # Const
+
+
+def clone_stmt(stmt: Stmt, rename: Optional[Dict[str, str]] = None) -> Stmt:
+    """Copy one statement and its nested bodies, optionally renaming
+    scalars throughout.  Expressions are frozen, so unrenamed ones are
+    shared rather than copied."""
+    r = rename or {}
+    if isinstance(stmt, Assign):
+        return Assign(
+            r.get(stmt.name, stmt.name), rename_expr(stmt.expr, r), stmt.line
+        )
+    if isinstance(stmt, Store):
+        return Store(
+            stmt.array, rename_expr(stmt.index, r),
+            rename_expr(stmt.expr, r), stmt.line,
+        )
+    if isinstance(stmt, For):
+        return For(
+            var=r.get(stmt.var, stmt.var),
+            lo=rename_expr(stmt.lo, r),
+            hi=rename_expr(stmt.hi, r),
+            body=[clone_stmt(s, rename) for s in stmt.body],
+            step=rename_expr(stmt.step, r),
+            loop_id=stmt.loop_id,
+            line=stmt.line,
+        )
+    if isinstance(stmt, While):
+        return While(
+            rename_expr(stmt.cond, r),
+            [clone_stmt(s, rename) for s in stmt.body], stmt.line,
+        )
+    if isinstance(stmt, If):
+        return If(
+            rename_expr(stmt.cond, r),
+            [clone_stmt(s, rename) for s in stmt.then_body],
+            [clone_stmt(s, rename) for s in stmt.else_body],
+            stmt.line,
+        )
+    if isinstance(stmt, CallStmt):
+        return CallStmt(
+            stmt.fn, tuple(rename_expr(a, r) for a in stmt.args), stmt.line
+        )
+    if isinstance(stmt, Return):
+        return Return(
+            rename_expr(stmt.expr, r) if stmt.expr is not None else None,
+            stmt.line,
+        )
+    if isinstance(stmt, Break):
+        return Break(stmt.line)
+    raise IRError(f"cannot clone statement {type(stmt).__name__}")
+
+
+def clone_program(program: Program) -> Program:
+    """Deep-copy a program (statement-level; frozen exprs are shared)."""
+    return Program(
+        functions={
+            name: Function(
+                fn.name, fn.params, [clone_stmt(s) for s in fn.body]
+            )
+            for name, fn in program.functions.items()
+        },
+        arrays=dict(program.arrays),
+        entry=program.entry,
+        name=program.name,
+    )
+
+
 def loops_in(body: Sequence[Stmt]) -> List[For]:
     """All For loops in ``body``, outermost first (pre-order)."""
     return [s for s in walk_stmts(body) if isinstance(s, For)]

@@ -1,14 +1,37 @@
-"""Dominator analysis on LinearIR CFGs (iterative dataflow algorithm).
+"""Dominator analysis on LinearIR CFGs.
 
 Used by the verifier (defs must dominate uses) and by LICM (hoisting is only
-legal into a block that dominates the loop body).
+legal into a block that dominates the loop body).  Immediate dominators come
+from the Cooper–Harvey–Kennedy iteration over reverse post-order ("A Simple,
+Fast Dominance Algorithm"), which settles in a pass or two on the reducible
+CFGs the lowering emits; the dominator sets are read off the idom tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.ir.linear import IRFunction
+
+
+def _reverse_postorder(succs: Dict[str, tuple], entry: str) -> List[str]:
+    """Blocks reachable from ``entry`` in reverse post-order (iterative
+    DFS; successors outside ``succs`` are ignored)."""
+    postorder: List[str] = []
+    visited = {entry}
+    stack = [(entry, iter(succs[entry]))]
+    while stack:
+        label, pending = stack[-1]
+        for succ in pending:
+            if succ in succs and succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(succs[succ])))
+                break
+        else:
+            stack.pop()
+            postorder.append(label)
+    postorder.reverse()
+    return postorder
 
 
 def compute_dominators(fn: IRFunction) -> Dict[str, Set[str]]:
@@ -18,55 +41,48 @@ def compute_dominators(fn: IRFunction) -> Dict[str, Set[str]]:
     by themselves so the verifier still accepts dead blocks a pass left
     behind (DCE cleans them separately).
     """
-    labels = [b.label for b in fn.blocks]
-    if not labels:
+    if not fn.blocks:
         return {}
-    entry = labels[0]
-    preds: Dict[str, List[str]] = {label: [] for label in labels}
-    for block in fn.blocks:
-        for succ in block.successors():
-            # branches to unknown labels are the verifier's concern; ignore
-            # them here so it can produce its own diagnostic
-            if succ in preds:
-                preds[succ].append(block.label)
-
-    # reachable set
-    reachable: Set[str] = set()
-    stack = [entry]
+    # branches to unknown labels are the verifier's concern; they are
+    # ignored here so it can produce its own diagnostic
     succs = {b.label: b.successors() for b in fn.blocks}
-    while stack:
-        label = stack.pop()
-        if label in reachable:
-            continue
-        reachable.add(label)
-        stack.extend(s for s in succs[label] if s in succs)
+    entry = fn.blocks[0].label
+    rpo = _reverse_postorder(succs, entry)
+    order = {label: i for i, label in enumerate(rpo)}
+    preds: Dict[str, List[str]] = {label: [] for label in rpo}
+    for label in rpo:
+        for succ in succs[label]:
+            if succ in order:
+                preds[succ].append(label)
 
-    all_reachable = set(l for l in labels if l in reachable)
-    dom: Dict[str, Set[str]] = {}
-    for label in labels:
-        if label == entry:
-            dom[label] = {entry}
-        elif label in reachable:
-            dom[label] = set(all_reachable)
-        else:
-            dom[label] = {label}
+    idom = {entry: entry}
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while order[a] > order[b]:
+                a = idom[a]
+            while order[b] > order[a]:
+                b = idom[b]
+        return a
 
     changed = True
     while changed:
         changed = False
-        for label in labels:
-            if label == entry or label not in reachable:
-                continue
-            pred_doms = [
-                dom[p] for p in preds[label] if p in reachable
-            ]
-            if not pred_doms:
-                continue
-            new = set.intersection(*pred_doms)
-            new.add(label)
-            if new != dom[label]:
-                dom[label] = new
+        for label in rpo[1:]:
+            new = None
+            for pred in preds[label]:
+                if pred in idom:
+                    new = pred if new is None else intersect(pred, new)
+            if idom.get(label) != new:
+                idom[label] = new
                 changed = True
+
+    # a block's idom precedes it in reverse post-order
+    dom: Dict[str, Set[str]] = {entry: {entry}}
+    for label in rpo[1:]:
+        dom[label] = dom[idom[label]] | {label}
+    for block in fn.blocks:
+        dom.setdefault(block.label, {block.label})
     return dom
 
 

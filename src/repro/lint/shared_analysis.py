@@ -105,12 +105,18 @@ def _analyze(program: ast.Program) -> ProgramAnalysis:
     )
 
 
-def program_analysis(program: ast.Program) -> ProgramAnalysis:
-    """The shared analysis of ``program`` (memoized inside a scope)."""
+def program_analysis(
+    program: ast.Program, key: Optional[str] = None
+) -> ProgramAnalysis:
+    """The shared analysis of ``program`` (memoized inside a scope).
+
+    ``key`` is ``program_fingerprint(program)`` when the caller already
+    has it (hashing a program's repr is not free)."""
     memo = _SCOPE.get()
     if memo is None:
         return _analyze(program)
-    key = program_fingerprint(program)
+    if key is None:
+        key = program_fingerprint(program)
     analysis = memo.get(key)
     if analysis is None:
         analysis = memo[key] = _analyze(program)

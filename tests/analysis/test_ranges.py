@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import repro.analysis.ranges as ranges_mod
 from repro.analysis.ranges import (
     BOTTOM,
     TOP,
@@ -19,6 +20,7 @@ from repro.analysis.ranges import (
     iv_sub,
 )
 from repro.benchsuite import build_app
+from repro.ir import ast_nodes as ast
 from repro.ir import lower_program
 from repro.ir.builder import ProgramBuilder
 
@@ -274,6 +276,133 @@ class TestProgramFacts:
         )
         fact = next(b for b in bounds[inner] if b.var == "n")
         assert fact.lo_const == 1
+
+
+def _chain(pb):
+    # a <- i, b <- a + 1, c <- 2b, then d[c[m]]: no array feeds itself
+    for name, size in (("a", 17), ("b", 17), ("c", 17), ("d", 35)):
+        pb.array(name, size)
+    with pb.function("main") as fb:
+        with fb.loop("i", 0, 16) as i:  # the engine bounds i by [0, 16]
+            fb.store("a", i, i)
+        with fb.loop("j", 0, 17) as j:
+            fb.store("b", j, fb.add(fb.load("a", j), 1.0))
+        with fb.loop("k", 0, 17) as k:
+            fb.store("c", k, fb.mul(2.0, fb.load("b", k)))
+        with fb.loop("m", 0, 17) as m:
+            fb.store("d", fb.load("c", m), 1.0)
+        fb.ret(0.0)
+
+
+def _accumulator(pb):
+    pb.array("a", 8)
+    with pb.function("main") as fb:
+        with fb.loop("i", 0, 8) as i:
+            fb.store("a", i, fb.add(fb.load("a", i), 1.0))
+        fb.ret(0.0)
+
+
+def _saturating(pb):
+    pb.array("a", 8)
+    with pb.function("main") as fb:
+        with fb.loop("i", 0, 8) as i:
+            fb.store("a", i, ast.BinOp(
+                "min", fb.add(fb.load("a", i), 1.0), ast.Const(5.0),
+            ))
+        fb.ret(0.0)
+
+
+def _refined(pb):
+    # ``a`` reaches ``b`` only through the branch refinement x < y
+    pb.array("a", 4)
+    pb.array("b", 4)
+    with pb.function("main") as fb:
+        fb.assign("x", fb.load("b", 0.0))
+        fb.assign("y", fb.load("a", 0.0))
+        with fb.if_block(fb.cmp("<", "x", "y")):
+            fb.store("b", 1.0, "x")
+        fb.ret(0.0)
+
+
+def _through_call(pb):
+    # ``a`` feeds ``f``'s parameter and takes its result; both are ⊤
+    pb.array("a", 4)
+    pb.array("b", 4)
+    with pb.function("f", ("p",)) as fb:
+        fb.store("b", 0.0, "p")
+        fb.ret(fb.add("p", 1.0))
+    with pb.function("main") as fb:
+        fb.store("a", 0.0, fb.call("f", fb.load("a", 0.0)))
+        fb.ret(0.0)
+
+
+def _array_flow(ir):
+    flow = {}
+    for fn in ir.functions.values():
+        for array, sinks in ranges_mod._FunctionCode(fn).array_flow.items():
+            flow.setdefault(array, set()).update(sinks)
+    return flow
+
+
+class TestArraySchedule:
+    """Self-feeding array summaries widen after one join round; every
+    other array keeps the join rounds (and its precision)."""
+
+    @staticmethod
+    def _summaries_seen(monkeypatch, ir, array):
+        """Run the engine; return ``array``'s summary as each function
+        analysis saw it (one entry per ``_analyze_function`` call)."""
+        seen = []
+        real = ranges_mod._analyze_function
+
+        def spy(code, arrays_iv, stores):
+            seen.append(arrays_iv[array])
+            return real(code, arrays_iv, stores)
+
+        monkeypatch.setattr(ranges_mod, "_analyze_function", spy)
+        return analyze_program(ir), seen
+
+    def test_chain_keeps_finite_summaries(self):
+        ir = build(_chain)
+        ranges = analyze_program(ir)
+        assert ranges_mod._self_feeding(
+            ranges_mod._FunctionCode(fn) for fn in ir.functions.values()
+        ) == set()
+        assert ranges.arrays["a"] == Interval(0, 16)
+        assert ranges.arrays["b"] == Interval(0, 17)
+        assert ranges.arrays["c"] == Interval(0, 34)
+        fn = ir.function("main")
+        (store,) = [
+            instr for block in fn.blocks for instr in block.instrs
+            if instr.opcode.name == "STORE" and instr.operands[0] == "d"
+        ]
+        index = ranges.fact("main", store.iid).index
+        assert index.int_bounds() == (0, 34)  # inside d[35]
+
+    @pytest.mark.parametrize("make", [_accumulator, _saturating])
+    def test_self_feeding_widens_after_one_join_round(self, monkeypatch, make):
+        ir = build(make)
+        ranges, seen = self._summaries_seen(monkeypatch, ir, "a")
+        # round 0 reads the initialization, round 1 one join, round 2 ∞
+        assert seen == [Interval(0, 1), Interval(0, 2), Interval(0, INF)]
+        assert ranges.arrays["a"] == Interval(0, INF)
+
+    def test_accumulator_runs_three_function_analyses(self, monkeypatch):
+        # the old schedule joined four rounds first: six analyses
+        _, seen = self._summaries_seen(monkeypatch, build(_accumulator), "a")
+        assert len(seen) == 3
+
+    def test_refinement_is_a_dependence_edge(self):
+        assert _array_flow(build(_refined)) == {"a": {"b"}, "b": {"b"}}
+
+    def test_no_dependence_through_callfn(self):
+        assert _array_flow(build(_through_call)) == {"a": set()}
+
+    @pytest.mark.parametrize(
+        "make", [_chain, _accumulator, _saturating, _refined, _through_call]
+    )
+    def test_schedule_programs_are_sound(self, make):
+        assert check_soundness(build(make), rng_seeds=(0, 1)) == []
 
 
 class TestSoundness:

@@ -17,7 +17,9 @@ Regenerate after an intentional change with::
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/analysis/test_ranges_golden.py -q
 
-and bump ``RANGE_ANALYSIS_VERSION`` along with it.
+and bump ``RANGE_ANALYSIS_VERSION`` along with it.  A bump needs no
+regeneration when the change can alter results only on programs outside
+the bundled suite (the unchanged digest is then the proof it did not here).
 """
 
 import hashlib

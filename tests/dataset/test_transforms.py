@@ -6,13 +6,12 @@ import pytest
 from repro.analysis import classify_all_loops
 from repro.dataset.transforms import (
     apply_transform,
-    clone_program_ast,
     dependence_injection,
     loop_order_modification,
     op_substitution,
 )
 from repro.errors import DatasetError
-from repro.ir.ast_nodes import For, walk_stmts
+from repro.ir.ast_nodes import For, clone_program, walk_stmts
 from repro.ir.builder import ProgramBuilder
 
 from tests.helpers import (
@@ -28,7 +27,7 @@ from tests.helpers import (
 class TestClone:
     def test_clone_is_independent(self):
         program = build_mixed_program()
-        copy = clone_program_ast(program)
+        copy = clone_program(program)
         copy.functions["main"].body.clear()
         assert program.functions["main"].body
 

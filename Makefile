@@ -51,9 +51,9 @@ test-quantize:
 		tests/serve/test_precision.py -q
 
 # Advisor wall: plan schema + clause ordering, transform round-trips,
-# scheduler determinism, the sequential-vs-interleaved differential
-# suite, the planted-race refutation, AD001, and /v1/advise
-# (see docs/ADVISOR.md).
+# scheduler determinism, the schedule golden digest, the
+# sequential-vs-interleaved differential suite, the planted-race
+# refutation, AD001, and /v1/advise (see docs/ADVISOR.md).
 test-advisor:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/advisor/ -q
 
@@ -74,7 +74,9 @@ test-ranges:
 # Profiler wall: the golden profile digest (dependences, loop stats,
 # exec counts, arrays, faults and probe calls of every bundled program
 # under all six pipelines, recording on and off) plus the interpreter,
-# shadow-memory and static-profile unit tests (see docs/ARCHITECTURE.md).
+# shadow-memory and static-profile unit tests, and the interpreter's
+# threads (yield points, faults and the step budget inside a thread)
+# (see docs/ARCHITECTURE.md).
 test-profiler:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/profiler/ -q
 

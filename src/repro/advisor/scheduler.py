@@ -13,51 +13,49 @@ validator wants.
 Execution model
 ---------------
 
-Each chunk runs as a coroutine that yields a ``(phase, shared)`` token
-around every scalar/array write: ``("pre", shared)`` after the right-hand
-side (and index) has been evaluated but *before* the write commits, and
+The threads run on the profiler's
+:class:`~repro.profiler.interpreter.Interpreter`, over the lowered
+transformed program: the activation that reaches a chunk loop forks a
+thread there, and at the last chunk of the region a schedule policy
+drives the threads to completion (see :mod:`repro.profiler.interpreter`).
+A thread yields a ``(phase, shared)`` token around every STORE and every
+STVAR except to its own induction variable: ``("pre", shared)`` after the
+value (and index) has been computed but *before* the write commits, and
 ``("post", shared)`` after it commits.  The pre-token models the classic
 lost-update window of a read-modify-write; the post-token is where
 another thread can observe a torn protocol (write-then-read-elsewhere).
 
-Two schedule families drive the coroutines:
+Two schedule families drive the threads:
 
 * ``roundrobin`` — deterministic, systematic: control rotates to the next
   runnable thread after **every committed shared write**.  This is the
   single most race-revealing static schedule for straight-line bodies —
   every shared store is immediately followed by a different thread's
   accesses.
-* ``adversarial`` — a seeded ``np.random.default_rng(seed)`` picks
-  uniformly among runnable threads at **every** yield point.  Same seed,
-  same schedule, same trace — determinism the test suite asserts.
-
-Evaluation semantics mirror :class:`repro.profiler.interpreter.Interpreter`
-exactly (Python floats, ``int()`` index truncation, Euclidean ``%``,
-non-short-circuit ``&&``/``||``, 1.0/0.0 comparisons, the same clamped
-intrinsics, scalars defaulting to 0.0 on first read), so a data-race-free
-interleaved run is *bitwise* identical to the sequential interpreter run
-modulo the ordered reduction merge.
+* ``adversarial`` — seeded, uniform among runnable threads at **every**
+  yield point: ``np.random.default_rng(seed)`` draws uniforms in blocks
+  of :data:`PICK_BLOCK`, and each pick is ``alive[int(u * len(alive))]``.
+  Same seed, same schedule, same trace — determinism the test suite
+  asserts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import AdvisorError
-from repro.ir import ast_nodes as ast
-from repro.profiler.interpreter import _INTRINSICS
-from repro.utils.rng import ensure_rng
+from repro.profiler.interpreter import POST, Interpreter, Schedule, Token
 from repro.advisor.transform import TransformResult
-
-#: yield-token phases
-PRE, POST = "pre", "post"
 
 SCHEDULE_ROUNDROBIN = "roundrobin"
 SCHEDULE_ADVERSARIAL = "adversarial"
 SCHEDULES = (SCHEDULE_ROUNDROBIN, SCHEDULE_ADVERSARIAL)
+
+#: uniforms an adversarial schedule draws at a time
+PICK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -91,318 +89,79 @@ class InterleavedRun:
     return_value: Optional[float] = None
 
 
-# ---------------------------------------------------------------------------
-# Expression evaluation (mirrors the LinearIR interpreter bit for bit)
-# ---------------------------------------------------------------------------
+def _roundrobin(trace: List[int]) -> Schedule:
+    """Keep running one thread until it commits a shared write, then hand
+    control to the next runnable thread."""
 
-
-def eval_expr(
-    expr: ast.Expr,
-    scalars: Dict[str, float],
-    arrays: Dict[str, List[float]],
-) -> float:
-    """Evaluate ``expr`` against shared state, interpreter-identically."""
-    if isinstance(expr, ast.Const):
-        return float(expr.value)
-    if isinstance(expr, ast.Var):
-        value = scalars.get(expr.name)
-        if value is None:
-            value = scalars[expr.name] = 0.0
-        return value
-    if isinstance(expr, ast.Load):
-        index = int(eval_expr(expr.index, scalars, arrays))
-        array = arrays[expr.array]
-        if index < 0 or index >= len(array):
-            raise AdvisorError(
-                f"load {expr.array}[{index}] out of bounds (size {len(array)})"
-            )
-        return array[index]
-    if isinstance(expr, ast.BinOp):
-        lhs = eval_expr(expr.lhs, scalars, arrays)
-        rhs = eval_expr(expr.rhs, scalars, arrays)
-        op = expr.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0.0:
-                raise AdvisorError("division by zero")
-            return lhs / rhs
-        if op == "%":
-            if rhs == 0.0:
-                raise AdvisorError("modulo by zero")
-            return lhs % rhs
-        if op == "min":
-            return min(lhs, rhs)
-        if op == "max":
-            return max(lhs, rhs)
-        if op == "<":
-            return 1.0 if lhs < rhs else 0.0
-        if op == "<=":
-            return 1.0 if lhs <= rhs else 0.0
-        if op == ">":
-            return 1.0 if lhs > rhs else 0.0
-        if op == ">=":
-            return 1.0 if lhs >= rhs else 0.0
-        if op == "==":
-            return 1.0 if lhs == rhs else 0.0
-        if op == "!=":
-            return 1.0 if lhs != rhs else 0.0
-        if op == "&&":
-            return 1.0 if lhs != 0.0 and rhs != 0.0 else 0.0
-        if op == "||":
-            return 1.0 if lhs != 0.0 or rhs != 0.0 else 0.0
-        raise AdvisorError(f"unhandled binary operator {op!r}")
-    if isinstance(expr, ast.UnOp):
-        value = eval_expr(expr.operand, scalars, arrays)
-        if expr.op == "-":
-            return -value
-        return 0.0 if value != 0.0 else 1.0
-    if isinstance(expr, ast.CallExpr):
-        intrinsic = _INTRINSICS.get(expr.fn)
-        if intrinsic is None:
-            raise AdvisorError(
-                f"call to non-intrinsic {expr.fn!r} in scheduled code"
-            )
-        values = [eval_expr(a, scalars, arrays) for a in expr.args]
-        try:
-            return float(intrinsic(*values))
-        except (ValueError, OverflowError) as exc:
-            raise AdvisorError(
-                f"intrinsic {expr.fn} failed on {values}: {exc}"
-            ) from exc
-    raise AdvisorError(f"unhandled expression {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Chunk coroutines
-# ---------------------------------------------------------------------------
-
-
-def _chunk_coroutine(
-    chunk,
-    scalars: Dict[str, float],
-    arrays: Dict[str, List[float]],
-) -> Iterator[Tuple[str, bool]]:
-    """Run one chunk loop, yielding around every write.
-
-    ``shared`` in the yielded token is False for writes to the chunk's own
-    renamed (private) names — those can never race — and True for array
-    stores and writes to any other scalar.
-    """
-    private = set(chunk.private_names)
-    loop = chunk.loop
-    var = loop.var
-    scalars[var] = eval_expr(loop.lo, scalars, arrays)
-    while True:
-        hi = eval_expr(loop.hi, scalars, arrays)
-        if not scalars[var] < hi:
-            break
-        for stmt in loop.body:
-            if isinstance(stmt, ast.Assign):
-                value = eval_expr(stmt.expr, scalars, arrays)
-                shared = stmt.name not in private
-                yield (PRE, shared)
-                scalars[stmt.name] = value
-                yield (POST, shared)
-            elif isinstance(stmt, ast.Store):
-                index = int(eval_expr(stmt.index, scalars, arrays))
-                value = eval_expr(stmt.expr, scalars, arrays)
-                array = arrays[stmt.array]
-                if index < 0 or index >= len(array):
-                    raise AdvisorError(
-                        f"store {stmt.array}[{index}] out of bounds "
-                        f"(size {len(array)})"
-                    )
-                yield (PRE, True)
-                array[index] = value
-                yield (POST, True)
-            else:
-                raise AdvisorError(
-                    f"non-straight-line statement {type(stmt).__name__} "
-                    f"in chunk {chunk.loop.loop_id}"
-                )
-        step = eval_expr(loop.step, scalars, arrays)
-        scalars[var] = scalars[var] + step
-
-
-def _run_region(
-    chunks,
-    scalars: Dict[str, float],
-    arrays: Dict[str, List[float]],
-    spec: ScheduleSpec,
-    trace: List[int],
-) -> None:
-    """Interleave the chunk coroutines under ``spec`` until all finish."""
-    threads: Dict[int, Iterator[Tuple[str, bool]]] = {
-        c.index: _chunk_coroutine(c, scalars, arrays) for c in chunks
-    }
-    alive: List[int] = sorted(threads)
-    if not alive:
-        return
-
-    def advance(tid: int) -> Optional[Tuple[str, bool]]:
-        trace.append(tid)
-        try:
-            return next(threads[tid])
-        except StopIteration:
-            return None
-
-    if spec.kind == SCHEDULE_ADVERSARIAL:
-        rng = np.random.default_rng(spec.seed)
-        while alive:
-            tid = alive[int(rng.integers(len(alive)))]
-            token = advance(tid)
-            if token is None:
-                alive.remove(tid)
-    else:
-        # systematic round-robin: keep running one thread until it commits
-        # a shared write, then hand control to the next runnable thread
+    def drive(threads: List[Iterator[Token]]) -> None:
+        alive = list(range(len(threads)))
         pos = 0
         while alive:
             tid = alive[pos % len(alive)]
+            thread = threads[tid]
             while True:
-                token = advance(tid)
+                trace.append(tid)
+                token = next(thread, None)
                 if token is None:
                     pos = alive.index(tid)
                     alive.remove(tid)
                     break
-                phase, shared = token
-                if phase == POST and shared:
+                if token[0] == POST and token[1]:
                     pos = alive.index(tid) + 1
                     break
 
-
-# ---------------------------------------------------------------------------
-# Sequential statements outside the parallel region
-# ---------------------------------------------------------------------------
+    return drive
 
 
-class _ReturnSignal(Exception):
-    """Internal: a top-level Return ends the entry function."""
+def _adversarial(seed: int, trace: List[int]) -> Schedule:
+    """Pick uniformly among runnable threads at every yield point."""
+    rng = np.random.default_rng(seed)
 
-    def __init__(self, value: float) -> None:
-        super().__init__(value)
-        self.value = value
+    def drive(threads: List[Iterator[Token]]) -> None:
+        alive = list(range(len(threads)))
+        picks: List[float] = []
+        used = 0
+        while alive:
+            if used == len(picks):
+                picks = rng.random(PICK_BLOCK).tolist()
+                used = 0
+            tid = alive[int(picks[used] * len(alive))]
+            used += 1
+            trace.append(tid)
+            if next(threads[tid], None) is None:
+                alive.remove(tid)
 
-
-class _BreakSignal(Exception):
-    """Internal: Break unwinds to the innermost enclosing loop."""
-
-
-def _exec_seq(
-    stmt: ast.Stmt,
-    scalars: Dict[str, float],
-    arrays: Dict[str, List[float]],
-) -> None:
-    if isinstance(stmt, ast.Assign):
-        scalars[stmt.name] = eval_expr(stmt.expr, scalars, arrays)
-    elif isinstance(stmt, ast.Store):
-        index = int(eval_expr(stmt.index, scalars, arrays))
-        value = eval_expr(stmt.expr, scalars, arrays)
-        array = arrays[stmt.array]
-        if index < 0 or index >= len(array):
-            raise AdvisorError(
-                f"store {stmt.array}[{index}] out of bounds (size {len(array)})"
-            )
-        array[index] = value
-    elif isinstance(stmt, ast.For):
-        scalars[stmt.var] = eval_expr(stmt.lo, scalars, arrays)
-        try:
-            while scalars[stmt.var] < eval_expr(stmt.hi, scalars, arrays):
-                for inner in stmt.body:
-                    _exec_seq(inner, scalars, arrays)
-                scalars[stmt.var] = scalars[stmt.var] + eval_expr(
-                    stmt.step, scalars, arrays
-                )
-        except _BreakSignal:
-            pass
-    elif isinstance(stmt, ast.If):
-        branch = (
-            stmt.then_body
-            if eval_expr(stmt.cond, scalars, arrays) != 0.0
-            else stmt.else_body
-        )
-        for inner in branch:
-            _exec_seq(inner, scalars, arrays)
-    elif isinstance(stmt, ast.While):
-        try:
-            while eval_expr(stmt.cond, scalars, arrays) != 0.0:
-                for inner in stmt.body:
-                    _exec_seq(inner, scalars, arrays)
-        except _BreakSignal:
-            pass
-    elif isinstance(stmt, ast.Return):
-        raise _ReturnSignal(eval_expr(stmt.expr, scalars, arrays))
-    elif isinstance(stmt, ast.Break):
-        raise _BreakSignal()
-    else:
-        raise AdvisorError(
-            f"statement {type(stmt).__name__} not supported outside the "
-            "parallel region"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
+    return drive
 
 
 def run_interleaved(
     result: TransformResult,
     spec: ScheduleSpec,
-    array_rng=0,
+    interpreter: Interpreter,
 ) -> InterleavedRun:
     """Execute a transformed program with its chunk region interleaved.
 
-    Everything outside the chunk loops runs sequentially with
-    interpreter-identical semantics; the chunk loops run as logical
-    threads under ``spec``.  ``array_rng`` seeds array initialization
-    exactly like the interpreter, so results are directly comparable.
+    ``interpreter`` runs the lowered ``result.program``: everything outside
+    the chunk loops runs sequentially, and the chunk loops run as logical
+    threads under ``spec``, from fresh copies of the interpreter's initial
+    arrays.  Faults raise :class:`~repro.errors.InterpreterError`.
     """
-    program = result.program
-    rng = ensure_rng(array_rng)
-    arrays: Dict[str, List[float]] = {
-        name: list(rng.random(size)) for name, size in program.arrays.items()
-    }
-    scalars: Dict[str, float] = {}
     trace: List[int] = []
-    chunk_loops = {id(c.loop): c for c in result.chunks}
-
-    entry = program.functions[program.entry]
-    body = list(entry.body)
-    i = 0
-    ran_region = False
-    return_value: Optional[float] = None
-    while i < len(body):
-        stmt = body[i]
-        if id(stmt) in chunk_loops:
-            # the consecutive run of chunk loops is one parallel region
-            region = []
-            while i < len(body) and id(body[i]) in chunk_loops:
-                region.append(chunk_loops[id(body[i])])
-                i += 1
-            _run_region(region, scalars, arrays, spec, trace)
-            ran_region = True
-        else:
-            try:
-                _exec_seq(stmt, scalars, arrays)
-            except _ReturnSignal as sig:
-                return_value = sig.value
-                break
-            i += 1
-    if result.chunks and not ran_region:
+    if spec.kind == SCHEDULE_ADVERSARIAL:
+        policy = _adversarial(spec.seed, trace)
+    else:
+        policy = _roundrobin(trace)
+    threads = {c.loop.loop_id: frozenset(c.private_names) for c in result.chunks}
+    value = interpreter.execute(threads, policy)
+    if result.chunks and not trace:
         raise AdvisorError(
-            f"chunk loops of {result.loop_id} not found at the top level of "
-            f"entry function {program.entry!r}"
+            f"chunk loops of {result.loop_id} never ran in "
+            f"{result.program.name!r}"
         )
     return InterleavedRun(
-        arrays=arrays,
-        scalars=scalars,
+        arrays=interpreter.arrays,
+        scalars=interpreter.scalars,
         trace=tuple(trace),
         schedule=spec.label,
-        return_value=return_value,
+        return_value=value,
     )

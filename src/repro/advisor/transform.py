@@ -18,7 +18,8 @@ round-trips through :mod:`repro.ir.source_printer`, lowers through
 modulo reduction reassociation), which the validator checks before any
 interleaving runs.  The chunk structure is what the simulated
 interleaving scheduler (:mod:`repro.advisor.scheduler`) executes in
-parallel.
+parallel.  :func:`transform_blocker` is the one eligibility check: the
+transformation and the validator both call it.
 """
 
 from __future__ import annotations
@@ -113,6 +114,22 @@ def straight_line_reason(loop: ast.For) -> Optional[str]:
     return None
 
 
+def transform_blocker(loop: ast.For, plan: AdvicePlan) -> Optional[str]:
+    """Why :func:`apply_plan` cannot transform ``loop`` under ``plan``, or
+    None when it can: the body must be straight-line, the bounds
+    constant, and every reduction operator known.
+    """
+    reason = straight_line_reason(loop)
+    if reason is not None:
+        return reason
+    if concrete_bounds(loop) is None:
+        return "non-constant iteration space"
+    for var, op in plan.reduction_ops.items():
+        if op not in REDUCTION_IDENTITY:
+            return f"unknown reduction operator {op!r} on {var!r}"
+    return None
+
+
 def find_loop(program: ast.Program, loop_id: str) -> Tuple[str, ast.For]:
     """(function name, For node) for ``loop_id``; raises when absent."""
     for name, fn in program.functions.items():
@@ -164,23 +181,13 @@ def apply_plan(
         raise AdvisorError(f"threads must be >= 1, got {threads}")
     cloned = clone_program(program)
     fn_name, loop = find_loop(cloned, plan.loop_id)
-    reason = straight_line_reason(loop)
+    reason = transform_blocker(loop, plan)
     if reason is not None:
         raise AdvisorError(f"{plan.loop_id}: {reason}")
-    bounds = concrete_bounds(loop)
-    if bounds is None:
-        raise AdvisorError(
-            f"{plan.loop_id}: non-constant iteration space"
-        )
-    lo, hi, step = bounds
+    lo, hi, step = concrete_bounds(loop)
     trips = max(0, -(-(hi - lo) // step))
 
     reduction_ops = plan.reduction_ops
-    for var, op in reduction_ops.items():
-        if op not in REDUCTION_IDENTITY:
-            raise AdvisorError(
-                f"{plan.loop_id}: unknown reduction operator {op!r} on {var!r}"
-            )
     private_vars = tuple(plan.private_vars)
 
     pre_stmts: List[ast.Stmt] = []

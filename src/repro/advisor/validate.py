@@ -1,9 +1,10 @@
 """Execution validation of advice plans by simulated interleaving.
 
 The validator extracts the advised loop into a self-contained *kernel
-program*, runs it sequentially on the stock interpreter as the reference,
-then applies the plan's transformation for each requested thread count
-and demands equivalence twice over:
+program*, checks that the loop is transformable, runs the kernel
+sequentially on the stock interpreter as the reference, then applies the
+plan's transformation for each requested thread count and demands
+equivalence twice over:
 
 1. the transformed program run *sequentially* must already match the
    reference (the transformation itself must be semantics-preserving),
@@ -17,8 +18,14 @@ those may differ by at most ``max_ulp`` units in the last place
 (default 4).  Any mismatch *refutes* the plan: :meth:`AdvicePlan.with_validation`
 downgrades it (``advised=False``, no pragma), so a refuted plan is never
 emitted.  Loops the machinery cannot execute (symbolic bounds,
-non-straight-line bodies) come back ``unvalidated`` — advice stands on
-its static/model tier alone, clearly labeled.
+non-straight-line bodies) come back ``unvalidated`` before anything is
+lowered or run — advice stands on its static/model tier alone, clearly
+labeled.
+
+Every run of a plan starts from copies of one draw of the kernel's
+arrays, and each thread count lowers its transformed program once: one
+:class:`~repro.profiler.interpreter.Interpreter` serves its sequential
+run and all its schedules.
 
 Kernel harness
 --------------
@@ -43,7 +50,7 @@ from repro.errors import AdvisorError, InterpreterError
 from repro.ir import ast_nodes as ast
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
-from repro.profiler.interpreter import Interpreter
+from repro.profiler.interpreter import Interpreter, draw_arrays
 from repro.advisor.plan import (
     AdvicePlan,
     ValidationRecord,
@@ -57,7 +64,12 @@ from repro.advisor.scheduler import (
     ScheduleSpec,
     run_interleaved,
 )
-from repro.advisor.transform import apply_plan, clone_stmt, find_loop
+from repro.advisor.transform import (
+    apply_plan,
+    clone_stmt,
+    find_loop,
+    transform_blocker,
+)
 
 #: name of the synthetic live-out spill array
 OUT_ARRAY = "advout"
@@ -93,6 +105,42 @@ def _packed(values: List[float]) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+class _Reference:
+    """A reference state, packed once, that run states are compared to."""
+
+    def __init__(
+        self,
+        ref: Dict[str, List[float]],
+        reduction_slots: Sequence[int],
+        max_ulp: float,
+    ) -> None:
+        self.ref = ref
+        self.slots = set(reduction_slots)
+        self.max_ulp = max_ulp
+        self.packed = {name: _packed(values) for name, values in ref.items()}
+
+    def mismatch(self, got: Dict[str, List[float]]) -> Optional[str]:
+        slots, max_ulp = self.slots, self.max_ulp
+        for name, ref_vals in self.ref.items():
+            got_vals = got.get(name)
+            if got_vals is None or len(got_vals) != len(ref_vals):
+                return f"array {name!r} missing or resized"
+            exact = name != OUT_ARRAY or not slots
+            if exact and self.packed[name] == _packed(got_vals):
+                continue  # bitwise equal throughout
+            for i, (a, b) in enumerate(zip(ref_vals, got_vals)):
+                if name == OUT_ARRAY and i in slots:
+                    diff = ulp_diff(a, b)
+                    if diff > max_ulp:
+                        return (
+                            f"{name}[{i}] (reduction slot): {float(a)!r} vs "
+                            f"{float(b)!r} ({diff:.0f} ulp > {max_ulp:g})"
+                        )
+                elif not bitwise_equal(a, b):
+                    return f"{name}[{i}]: {float(a)!r} vs {float(b)!r} (bitwise)"
+        return None
+
+
 def compare_states(
     ref: Dict[str, List[float]],
     got: Dict[str, List[float]],
@@ -104,25 +152,7 @@ def compare_states(
     Bitwise equality everywhere, except ``advout`` elements listed in
     ``reduction_slots`` which tolerate ``max_ulp`` ULPs of reassociation.
     """
-    slots = set(reduction_slots)
-    for name in ref:
-        ref_vals, got_vals = ref[name], got.get(name)
-        if got_vals is None or len(got_vals) != len(ref_vals):
-            return f"array {name!r} missing or resized"
-        exact = name != OUT_ARRAY or not slots
-        if exact and _packed(ref_vals) == _packed(got_vals):
-            continue  # bitwise equal throughout
-        for i, (a, b) in enumerate(zip(ref_vals, got_vals)):
-            if name == OUT_ARRAY and i in slots:
-                diff = ulp_diff(a, b)
-                if diff > max_ulp:
-                    return (
-                        f"{name}[{i}] (reduction slot): {a!r} vs {b!r} "
-                        f"({diff:.0f} ulp > {max_ulp:g})"
-                    )
-            elif not bitwise_equal(a, b):
-                return f"{name}[{i}]: {a!r} vs {b!r} (bitwise)"
-    return None
+    return _Reference(ref, reduction_slots, max_ulp).mismatch(got)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +169,7 @@ class KernelSpec:
     liveouts: Tuple[str, ...]          # advout slot j holds liveouts[j]
     reduction_slots: Tuple[int, ...]   # advout slots holding reduction accs
     scalar_inits: Dict[str, float]
+    loop: ast.For                      # the kernel's copy of the loop
 
 
 def _vars_in(expr: ast.Expr) -> Set[str]:
@@ -197,7 +228,8 @@ def build_kernel(program: ast.Program, plan: AdvicePlan) -> KernelSpec:
         ast.Store(OUT_ARRAY, ast.Const(float(j)), ast.Var(name), 0)
         for j, name in enumerate(liveouts)
     ]
-    body = prelude + [clone_stmt(loop)] + epilogue
+    kernel_loop = clone_stmt(loop)
+    body = prelude + [kernel_loop] + epilogue
     arrays = dict(program.arrays)
     arrays[OUT_ARRAY] = max(1, len(liveouts))  # appended LAST: keeps the
     # rng draws for the program's real arrays identical to the original
@@ -213,20 +245,12 @@ def build_kernel(program: ast.Program, plan: AdvicePlan) -> KernelSpec:
         liveouts=liveouts,
         reduction_slots=reduction_slots,
         scalar_inits=scalar_inits,
+        loop=kernel_loop,
     )
 
 
-def _run_sequential(program: ast.Program, array_rng) -> Dict[str, List[float]]:
-    """Lower + verify + interpret; final array state."""
-    ir = lower_program(program)
-    verify_program(ir)
-    interp = Interpreter(ir, record=False, rng=array_rng)
-    interp.run()
-    return {k: list(v) for k, v in interp.arrays.items()}
-
-
 def _kernel_context_blockers(
-    kernel: KernelSpec, array_rng: int
+    kernel: KernelSpec, inputs: Dict[str, List[float]]
 ) -> Tuple[Optional[List[str]], Dict[str, List[float]]]:
     """Dependences the *synthetic* kernel context introduced, if any, and
     the kernel's final array state.
@@ -242,20 +266,18 @@ def _kernel_context_blockers(
     privatization), not the plan.
 
     The profiled run is also the sequential reference: recording does
-    not change values, and an int ``array_rng`` seeds the same arrays
-    that :func:`_run_sequential` would draw.
+    not change values.
     """
     from repro.analysis.oracle import classify_loop
 
     ir = lower_program(kernel.program)
     verify_program(ir)
-    interp = Interpreter(ir, record=True, rng=array_rng)
+    interp = Interpreter(ir, record=True, arrays=inputs)
     report = interp.run()
-    final = {k: list(v) for k, v in interp.arrays.items()}
     oracle = classify_loop(ir, report, kernel.loop_id)
     if oracle.parallel:
-        return None, final
-    return list(oracle.blockers) or ["kernel-context dependence"], final
+        return None, interp.arrays
+    return list(oracle.blockers) or ["kernel-context dependence"], interp.arrays
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +324,16 @@ def validate_plan(
         kernel = build_kernel(program, plan)
     except AdvisorError as exc:
         return record(VALIDATION_UNVALIDATED, f"kernel extraction failed: {exc}")
+    reason = transform_blocker(kernel.loop, plan)
+    if reason is not None:
+        return record(
+            VALIDATION_UNVALIDATED, f"not transformable: {plan.loop_id}: {reason}"
+        )
 
+    # one draw of the inputs: every run starts from copies of them
+    inputs = draw_arrays(kernel.program.arrays, array_rng)
     try:
-        blockers, ref = _kernel_context_blockers(kernel, array_rng)
+        blockers, ref = _kernel_context_blockers(kernel, inputs)
     except Exception as exc:  # noqa: BLE001 — any reference failure
         # (interpreter fault, lowering error) means the loop cannot be
         # execution-validated; advice falls back to its static tier
@@ -317,23 +346,27 @@ def validate_plan(
             "synthetic kernel context introduces dependences: "
             + "; ".join(blockers[:2]),
         )
+    reference = _Reference(ref, kernel.reduction_slots, max_ulp)
 
     for t in threads:
         try:
             transformed = apply_plan(kernel.program, plan, t)
         except AdvisorError as exc:
             return record(VALIDATION_UNVALIDATED, f"not transformable: {exc}")
+        # one lowering per thread count, shared by its sequential run and
+        # every schedule
+        ir = lower_program(transformed.program)
+        verify_program(ir)
+        interp = Interpreter(ir, record=False, arrays=inputs)
 
         try:
-            seq_state = _run_sequential(transformed.program, array_rng)
+            interp.execute()
         except InterpreterError as exc:
             return record(
                 VALIDATION_REFUTED,
                 f"transformed program faults sequentially at T={t}: {exc}",
             )
-        mismatch = compare_states(
-            ref, seq_state, kernel.reduction_slots, max_ulp
-        )
+        mismatch = reference.mismatch(interp.arrays)
         if mismatch is not None:
             return record(
                 VALIDATION_REFUTED,
@@ -342,15 +375,13 @@ def validate_plan(
 
         for spec in specs:
             try:
-                run = run_interleaved(transformed, spec, array_rng=array_rng)
-            except AdvisorError as exc:
+                run = run_interleaved(transformed, spec, interp)
+            except (AdvisorError, InterpreterError) as exc:
                 return record(
                     VALIDATION_REFUTED,
                     f"runtime fault under {spec.label} at T={t}: {exc}",
                 )
-            mismatch = compare_states(
-                ref, run.arrays, kernel.reduction_slots, max_ulp
-            )
+            mismatch = reference.mismatch(run.arrays)
             if mismatch is not None:
                 return record(
                     VALIDATION_REFUTED,

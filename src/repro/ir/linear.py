@@ -71,6 +71,10 @@ class Opcode(enum.Enum):
     LOOPNEXT = "loopnext"
     LOOPEXIT = "loopexit"
 
+    # members are singletons that compare by identity; enum's own hash
+    # hashes the member name in Python on every set or dict lookup
+    __hash__ = object.__hash__
+
 
 #: Opcodes that terminate a basic block.
 TERMINATORS = frozenset({Opcode.BR, Opcode.CONDBR, Opcode.RET})

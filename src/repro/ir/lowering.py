@@ -37,6 +37,7 @@ from repro.ir.linear import (
     Opcode,
     Operand,
     Reg,
+    TERMINATORS,
 )
 
 _BINOP_OPCODES = {
@@ -108,7 +109,8 @@ class _FunctionLowering:
     ) -> Instr:
         if self._cur is None:
             raise LoweringError("emission outside of a basic block")
-        if self._cur.terminator is not None:
+        instrs = self._cur.instrs
+        if instrs and instrs[-1].opcode in TERMINATORS:
             # Unreachable code after break/return inside the same MiniC block;
             # drop it silently the way a real compiler's CFG construction does.
             return Instr(-1, opcode, operands, result, dict(meta))
@@ -122,7 +124,7 @@ class _FunctionLowering:
             loop_id=self._loop_stack[-1].info.loop_id if self._loop_stack else None,
         )
         self._next_iid += 1
-        self._cur.instrs.append(instr)
+        instrs.append(instr)
         return instr
 
     # -- expressions --------------------------------------------------------

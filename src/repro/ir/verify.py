@@ -29,7 +29,7 @@ def verify_function(fn: IRFunction, program: IRProgram) -> None:
     block or be in a block the defining block dominates (so passes like LICM
     may legally move definitions into dominating blocks).
     """
-    from repro.ir.dominators import compute_dominators, dominates
+    from repro.ir.dominators import compute_dominators
 
     labels = {b.label for b in fn.blocks}
     if len(labels) != len(fn.blocks):
@@ -39,15 +39,17 @@ def verify_function(fn: IRFunction, program: IRProgram) -> None:
     def_site: dict = {}
     seen_iids: Set[int] = set()
     for block in fn.blocks:
-        if not block.instrs:
+        instrs = block.instrs
+        if not instrs:
             raise IRError(f"{fn.name}/{block.label}: empty basic block")
-        if block.terminator is None:
+        last = len(instrs) - 1
+        if instrs[last].opcode not in TERMINATORS:
             raise IRError(f"{fn.name}/{block.label}: missing terminator")
-        for pos, instr in enumerate(block.instrs):
+        for pos, instr in enumerate(instrs):
             if instr.iid in seen_iids:
                 raise IRError(f"{fn.name}: duplicate iid {instr.iid}")
             seen_iids.add(instr.iid)
-            if instr.opcode in TERMINATORS and pos != len(block.instrs) - 1:
+            if pos != last and instr.opcode in TERMINATORS:
                 raise IRError(
                     f"{fn.name}/{block.label}: terminator not at block end"
                 )
@@ -64,6 +66,7 @@ def verify_function(fn: IRFunction, program: IRProgram) -> None:
                     f"{fn.name}/{block.label}: branch to unknown block {target!r}"
                 )
     for block in fn.blocks:
+        dominators = dom.get(block.label, ())
         for pos, instr in enumerate(block.instrs):
             for op in instr.operands:
                 if not isinstance(op, Reg):
@@ -81,12 +84,20 @@ def verify_function(fn: IRFunction, program: IRProgram) -> None:
                             f"{fn.name}/{block.label}: %{op.name} used at "
                             f"position {pos} before its definition at {def_pos}"
                         )
-                elif not dominates(dom, def_block, block.label):
+                elif def_block not in dominators:
                     raise IRError(
                         f"{fn.name}/{block.label}: use of %{op.name} not "
                         f"dominated by its definition in {def_block}"
                     )
-            _verify_semantic_operands(fn, program, block.label, instr)
+            if instr.opcode in _SEMANTIC_OPCODES:
+                _verify_semantic_operands(fn, program, block.label, instr)
+
+
+#: the opcodes :func:`_verify_semantic_operands` checks
+_SEMANTIC_OPCODES = frozenset(
+    {Opcode.LOAD, Opcode.STORE, Opcode.CALLFN, Opcode.LOOPENTER,
+     Opcode.LOOPNEXT, Opcode.LOOPEXIT}
+) | MEM_READS
 
 
 def _verify_semantic_operands(

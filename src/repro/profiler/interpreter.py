@@ -52,13 +52,36 @@ instructions first execute together, before any call it ends with.
 
 Dependences are recorded by :class:`ShadowMemory`, which keeps one
 ``(src, dst)`` table per dependence kind (see :mod:`repro.profiler.shadow`).
+
+Threads
+-------
+
+The dispatch loop is a generator, so one loop also runs the advisor's
+simulated threads (:mod:`repro.advisor.scheduler`).  A plain run drives
+the entry activation to completion; calls are ``yield from``.  Given the
+loops to run as threads, an activation that reaches the LOOPENTER of
+one of them forks a thread that runs from there to that loop's
+LOOPEXIT, and resumes itself just past the LOOPEXIT; at the region's
+last loop the schedule drives the forked threads to completion.  Threads share the
+activation's scalars, its registers (register names are unique per
+function) and the arrays.  A thread yields ``(PRE, shared)`` before and
+``(POST, shared)`` after every STORE and every STVAR but to its own
+induction variable; ``shared`` is False for the thread's private
+scalars.  Only threads yield, and they keep the step count in
+``_steps`` across their yields, so the step budget still cuts inside
+a thread.  Every run starts from fresh copies of the initial arrays and
+reuses the decoded code, and :meth:`Interpreter.execute` runs without
+recording or a report, so the validator's sequential run and every
+schedule of a thread count share one interpreter.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Generator, Iterator, List, Optional, Tuple,
+)
 
 from repro.errors import InterpreterError, IRError
 from repro.ir.linear import Instr, IRFunction, IRProgram, Opcode, Reg
@@ -115,6 +138,13 @@ _CMP_FNS = {
     "ge": operator.ge, "eq": operator.eq,
 }
 
+#: what a thread yields around a write: ``(phase, shared)``, where
+#: ``shared`` is False for a scalar private to the thread
+Token = Tuple[str, bool]
+PRE, POST = "pre", "post"
+#: drives a parallel region's threads, in thread order, to completion
+Schedule = Callable[[List[Iterator[Token]]], None]
+
 #: a decoded block: the decoded instructions of one basic block
 _Code = List[tuple]
 #: a segment, ``[entries, length, iids]``: a run of instructions of one
@@ -126,7 +156,7 @@ _Segment = list
 class _Function:
     """One function's decoded form plus this interpreter's counters."""
 
-    __slots__ = ("blocks", "entry_segment", "imms", "entered")
+    __slots__ = ("blocks", "entry_segment", "imms", "entered", "exits")
 
     def __init__(
         self, blocks: List[_Code], entry_segment: Optional[_Segment],
@@ -139,6 +169,23 @@ class _Function:
         self.entry_segment = entry_segment
         self.imms = imms  # register-dict seeds: immediate key -> value
         self.entered: List[_Segment] = []  # segments in first-entry order
+        self.exits: Optional[Dict[str, Tuple[int, int]]] = None
+
+    def reset(self) -> None:
+        """Zero the segment entry counters for a new run."""
+        for segment in self.entered:
+            segment[0] = 0
+        self.entered.clear()
+
+    def past_exit(self, loop_id: str) -> Tuple[int, int]:
+        """(block index, position) just past ``loop_id``'s LOOPEXIT."""
+        if self.exits is None:
+            self.exits = {
+                ins[2]: (index, pos + 1)
+                for index, code in enumerate(self.blocks)
+                for pos, ins in enumerate(code) if ins[0] == _LOOPEXIT
+            }
+        return self.exits[loop_id]
 
     def exec_counts(self) -> Dict[int, int]:
         """Executions per iid, in order of first execution."""
@@ -147,6 +194,15 @@ class _Function:
             for iid in iids:
                 counts[iid] = counts.get(iid, 0) + entries
         return counts
+
+
+def _activation_scalars(fn: IRFunction, args: Tuple[float, ...]) -> Dict[str, float]:
+    """The scalars a new activation of ``fn`` starts with."""
+    if len(args) != len(fn.params):
+        raise InterpreterError(
+            f"{fn.name} expects {len(fn.params)} args, got {len(args)}"
+        )
+    return dict(zip(fn.params, (float(a) for a in args)))
 
 
 class _Decoder:
@@ -285,8 +341,22 @@ class _Decoder:
         raise InterpreterError(f"unhandled opcode {instr.opcode}")
 
 
+def draw_arrays(sizes: Dict[str, int], rng: RngLike = 0) -> Dict[str, List[float]]:
+    """Deterministic array contents in [0, 1), drawn in ``sizes`` order."""
+    rng = ensure_rng(rng)
+    return {name: list(rng.random(size)) for name, size in sizes.items()}
+
+
 class Interpreter:
-    """Executes an :class:`IRProgram`, optionally recording dependences."""
+    """Executes an :class:`IRProgram`, optionally recording dependences.
+
+    ``arrays`` gives the initial array contents (never mutated); when
+    omitted they are drawn from ``rng`` with :func:`draw_arrays`.  Every
+    run starts from fresh copies of them and reuses the decoded code:
+    :meth:`run` returns the profile report, :meth:`execute` runs without
+    recording or building a report.  After a run, ``arrays`` holds the
+    final array state and ``scalars`` the entry activation's scalars.
+    """
 
     def __init__(
         self,
@@ -295,6 +365,7 @@ class Interpreter:
         rng: RngLike = 0,
         max_steps: int = _DEFAULT_MAX_STEPS,
         probe=None,
+        arrays: Optional[Dict[str, List[float]]] = None,
     ) -> None:
         self.program = program
         self.record = record
@@ -305,38 +376,81 @@ class Interpreter:
         # attaches one to compare observed values against inferred
         # intervals; None costs a single pointer test per memory op
         self.probe = probe
-        self.report = ProfileReport(program_name=program.name)
-        self.shadow: Optional[ShadowMemory] = (
-            ShadowMemory(self.report) if record else None
+        # Kernels that need structure (index arrays, zero accumulators)
+        # initialize explicitly.
+        self._inputs = (
+            arrays if arrays is not None else draw_arrays(program.arrays, rng)
         )
-        rng = ensure_rng(rng)
-        # Deterministic array contents in [0, 1); kernels that need structure
-        # (index arrays, zero accumulators) initialize explicitly.
+        # decoded functions, in order of first activation
+        self._functions: Dict[str, _Function] = {}
+        self._forks: Optional[Dict[str, FrozenSet[str]]] = None
+        self._schedule: Optional[Schedule] = None
+
+    def _reset(self, report: Optional[ProfileReport]) -> None:
+        """Fresh run state: arrays copied from the initial ones, zeroed
+        counters, and the run's report (recorded into when ``record``)."""
         self.arrays: Dict[str, List[float]] = {
-            name: list(rng.random(size)) for name, size in program.arrays.items()
+            name: list(values) for name, values in self._inputs.items()
         }
+        self.report = report
+        self.shadow: Optional[ShadowMemory] = (
+            ShadowMemory(report) if report is not None and self.record else None
+        )
+        self.scalars: Dict[str, float] = {}  # the entry activation's
         self._steps = 0
         self._itervec: Tuple[Tuple[str, int, int], ...] = ()
         self._loop_entry_serial: Dict[str, int] = {}
         self._loop_step_stack: List[Tuple[str, int]] = []
         self._activation = 0
-        # decoded functions, in order of first activation
-        self._functions: Dict[str, _Function] = {}
+        for decoded in self._functions.values():
+            decoded.reset()
 
     # -- public API -----------------------------------------------------------
 
     def run(self, args: Tuple[float, ...] = ()) -> ProfileReport:
         """Execute the entry function and return the profile report."""
-        entry = self.program.function(self.program.entry)
-        value = self._run_function(entry, args)
-        self.report.steps = self._steps
-        self.report.return_value = value
+        self._reset(ProfileReport(program_name=self.program.name))
+        value = self._run_entry(args)
+        report = self.report
+        report.steps = self._steps
+        report.return_value = value
         for fn_name, decoded in self._functions.items():
             for iid, count in decoded.exec_counts().items():
-                self.report.exec_counts[(fn_name, iid)] = count
-        return self.report
+                report.exec_counts[(fn_name, iid)] = count
+        return report
+
+    def execute(
+        self,
+        threads: Optional[Dict[str, FrozenSet[str]]] = None,
+        schedule: Optional[Schedule] = None,
+    ) -> Optional[float]:
+        """Execute the entry function, with no arguments, without
+        recording or a report; return its value.
+
+        ``threads`` maps each loop that runs as a thread to the scalars
+        private to that thread, in thread order: an activation that
+        reaches one of them forks a thread there instead of running it
+        (see the module docstring), and at the last one ``schedule``
+        drives the forked threads to completion.
+        """
+        self._reset(None)
+        self._forks, self._schedule = threads, schedule
+        try:
+            return self._run_entry(())
+        finally:
+            self._forks = self._schedule = None
 
     # -- execution ------------------------------------------------------------
+
+    def _run_entry(self, args: Tuple[float, ...]) -> Optional[float]:
+        entry = self.program.function(self.program.entry)
+        self.scalars = _activation_scalars(entry, args)
+        frame = self._frame(entry, self.scalars)
+        try:
+            frame.send(None)
+        except StopIteration as stop:
+            return stop.value
+        raise InterpreterError("a thread yielded outside its schedule")
 
     def _budget_cut(self, code: _Code, pos: int, steps: int, fn_name: str) -> _Code:
         """``code`` cut where the step budget runs out (``steps`` executed
@@ -347,16 +461,16 @@ class Interpreter:
             f"(likely non-terminating loop)"
         ))]
 
-    def _run_function(
-        self, fn: IRFunction, args: Tuple[float, ...]
-    ) -> Optional[float]:
-        if len(args) != len(fn.params):
-            raise InterpreterError(
-                f"{fn.name} expects {len(fn.params)} args, got {len(args)}"
-            )
-        self._activation += 1
-        activation = self._activation
-        scalars: Dict[str, float] = dict(zip(fn.params, (float(a) for a in args)))
+    def _frame(
+        self, fn: IRFunction, scalars: Dict[str, float], thread=None
+    ) -> Generator[Token, None, Optional[float]]:
+        """The dispatch loop: one activation of ``fn``, or one thread.
+
+        A thread is ``(loop_id, private, code, pos, registers, activation,
+        itervec)``: it resumes the activation that forked it at ``code[pos]``
+        (the loop's LOOPENTER), sharing its scalars and registers, and
+        finishes at the loop's LOOPEXIT.  Only threads yield.
+        """
         fn_name = fn.name
         decoded = self._functions.get(fn_name)
         if decoded is None:
@@ -364,36 +478,47 @@ class Interpreter:
         blocks = decoded.blocks
         if not blocks:
             raise IRError(f"function {fn_name!r} has no blocks")
-        code = blocks[0]
-        registers: Dict[object, float] = dict(decoded.imms)
         entered = decoded.entered
+        max_steps = self.max_steps
 
-        itervec = self._itervec
+        if thread is None:
+            self._activation += 1
+            activation = self._activation
+            code = blocks[0]
+            pos = 0
+            registers: Dict[object, float] = dict(decoded.imms)
+            itervec = self._itervec
+            step_stack = self._loop_step_stack
+            forks = self._forks
+            forked: List[Generator] = []
+            stop_at = induction = private = None
+            # Steps and exec counts are charged per segment on entering
+            # it: the function entry, a branch, or the return from a call.
+            segment = decoded.entry_segment
+            steps = self._steps + segment[1]
+            if steps > max_steps:
+                code = self._budget_cut(code, 0, self._steps, fn_name)
+            if not segment[0]:
+                entered.append(segment)
+            segment[0] += 1
+        else:
+            stop_at, private, code, pos, registers, activation, itervec = thread
+            induction = fn.loops[stop_at].var
+            step_stack = []
+            forks = None
+            steps = self._steps
+        yields = thread is not None
         itervec_depth = len(itervec)
-        step_stack = self._loop_step_stack
         loopstack_depth = len(step_stack)
         entry_serial = self._loop_entry_serial
         report = self.report
-        loop_stats = report.loop_stats
         shadow = self.shadow
-        record = self.record
+        record = shadow is not None
         if record:
             shadow_read = shadow.read
             shadow_write = shadow.write
         probe = self.probe
         arrays = self.arrays
-        max_steps = self.max_steps
-        pos = 0
-
-        # Steps and exec counts are charged per segment on entering it:
-        # the function entry, a branch, or the return from a call.
-        segment = decoded.entry_segment
-        steps = self._steps + segment[1]
-        if steps > max_steps:
-            code = self._budget_cut(code, 0, self._steps, fn_name)
-        if not segment[0]:
-            entered.append(segment)
-        segment[0] += 1
 
         while True:
             ins = code[pos]
@@ -441,11 +566,21 @@ class Interpreter:
                     probe(fn_name, ins[1], "value", array[index])
                 registers[ins[4]] = array[index]
             elif kind == _STVAR:
-                scalars[ins[2]] = value = registers[ins[3]]
+                var = ins[2]
+                # a thread yields around every write but to its own
+                # induction variable
+                if yields and var != induction:
+                    shared = var not in private
+                    self._steps = steps
+                    yield PRE, shared
+                scalars[var] = value = registers[ins[3]]
                 if probe is not None:
                     probe(fn_name, ins[1], "value", value)
                 if record:
                     shadow_write(ins[4], activation, ins[5], itervec)
+                if yields and var != induction:
+                    yield POST, shared
+                    steps = self._steps
             elif kind == _CMP:
                 registers[ins[2]] = (
                     1.0 if ins[5](registers[ins[3]], registers[ins[4]]) else 0.0
@@ -479,7 +614,8 @@ class Interpreter:
                         f"loopnext for {loop_id!r} but innermost loop is {last[0]!r}"
                     )
                 itervec = itervec[:-1] + ((loop_id, last[1], last[2] + 1),)
-                report.record_loop_iteration(loop_id)
+                if report is not None:
+                    report.record_loop_iteration(loop_id)
             elif kind == _STORE:
                 array_name = ins[2]
                 index_f = registers[ins[3]]
@@ -490,31 +626,55 @@ class Interpreter:
                         f"store {array_name}[{index}] out of bounds "
                         f"(size {len(array)}) at iid {ins[1]} in {fn_name}"
                     )
+                if yields:
+                    self._steps = steps
+                    yield PRE, True
                 array[index] = registers[ins[4]]
                 if record:
                     shadow_write(array_name, index, ins[5], itervec)
                 if probe is not None:
                     probe(fn_name, ins[1], "index", index_f)
                     probe(fn_name, ins[1], "value", array[index])
+                if yields:
+                    yield POST, True
+                    steps = self._steps
             elif kind == _SUB:
                 registers[ins[2]] = registers[ins[3]] - registers[ins[4]]
             elif kind == _LOOPENTER:
                 loop_id = ins[2]
+                if forks is not None and loop_id in forks:
+                    # fork a thread that runs the loop, resume past it
+                    self._steps = steps
+                    forked.append(self._frame(fn, scalars, (
+                        loop_id, forks[loop_id], code, pos - 1, registers,
+                        activation, itervec,
+                    )))
+                    target, pos = decoded.past_exit(loop_id)
+                    code = blocks[target]
+                    if len(forked) == len(forks):
+                        self._schedule(forked)
+                        forked = []
+                        steps = self._steps
+                    continue
                 serial = entry_serial.get(loop_id, 0)
                 entry_serial[loop_id] = serial + 1
                 itervec = itervec + ((loop_id, serial, 0),)
-                report.record_loop_entry(loop_id)
-                # ins[3]: steps of this segment still to come
-                step_stack.append((loop_id, steps - ins[3]))
+                if report is not None:
+                    report.record_loop_entry(loop_id)
+                    # ins[3]: steps of this segment still to come
+                    step_stack.append((loop_id, steps - ins[3]))
             elif kind == _LOOPEXIT:
                 loop_id = ins[2]
                 if itervec and itervec[-1][0] == loop_id:
                     itervec = itervec[:-1]
                 if step_stack and step_stack[-1][0] == loop_id:
                     _, start = step_stack.pop()
-                    stats = loop_stats.get(loop_id)
+                    stats = report.loop_stats.get(loop_id)
                     if stats is not None:
                         stats.dyn_instr_count += steps - ins[3] - start
+                if loop_id == stop_at:
+                    self._steps = steps
+                    return None
             elif kind == _RET:
                 # An early return may abandon active loops of this frame:
                 # unwind their iteration-vector entries and attribute their
@@ -523,7 +683,7 @@ class Interpreter:
                 self._steps = steps
                 while len(step_stack) > loopstack_depth:
                     loop_id, start = step_stack.pop()
-                    stats = loop_stats.get(loop_id)
+                    stats = report.loop_stats.get(loop_id)
                     if stats is not None:
                         stats.dyn_instr_count += steps - start
                 if ins[2] is not None:
@@ -531,10 +691,12 @@ class Interpreter:
                 return None
             elif kind == _CALLFN:
                 callee = self.program.function(ins[3])
-                values = tuple(registers[a] for a in ins[4])
+                callee_scalars = _activation_scalars(
+                    callee, tuple(registers[a] for a in ins[4])
+                )
                 self._itervec = itervec
                 self._steps = steps
-                result = self._run_function(callee, values)
+                result = yield from self._frame(callee, callee_scalars)
                 itervec = self._itervec
                 steps = self._steps
                 if ins[2] is not None:

@@ -1,10 +1,14 @@
 """Execution validation: the sequential-vs-interleaved differential suite."""
 
 import math
+import re
 
 import pytest
 
 from repro.advisor import (
+    AdvicePlan,
+    Clause,
+    TIER_MODEL_ONLY,
     VALIDATION_REFUTED,
     VALIDATION_UNVALIDATED,
     VALIDATION_VALIDATED,
@@ -22,6 +26,7 @@ from repro.advisor.driver import (
     build_reduction_demo,
 )
 from repro.advisor.validate import OUT_ARRAY, build_kernel
+from repro.ir.builder import ProgramBuilder
 
 from tests.helpers import (
     build_doall_program,
@@ -38,6 +43,37 @@ THREADS = (2, 4)
 def plans_for(program):
     ir, report = profile(program)
     return build_advice_plans(program, ir, report)
+
+
+def doall_plan(program, loop_id):
+    """A hand-made advised DOALL plan with no clauses but parallel_for."""
+    return AdvicePlan(
+        loop_id=loop_id,
+        program=program.name,
+        function="main",
+        line=1,
+        pattern="doall",
+        advised=True,
+        tier=TIER_MODEL_ONLY,
+        clauses=(Clause(kind="parallel_for", provenance=("model:mvgnn",)),),
+        pragma="#pragma omp parallel for",
+        rationale="hand-made test plan",
+    )
+
+
+def count_lowerings(monkeypatch):
+    """Names of the programs the validator lowers, as it lowers them."""
+    import repro.advisor.validate as validate_module
+
+    lowered = []
+    lower = validate_module.lower_program
+
+    def counting_lower(program):
+        lowered.append(program.name)
+        return lower(program)
+
+    monkeypatch.setattr(validate_module, "lower_program", counting_lower)
+    return lowered
 
 
 class TestUlpMath:
@@ -128,16 +164,7 @@ class TestDifferentialSuite:
         assert validated.advised
 
     def test_kernel_reference_runs_once(self, monkeypatch):
-        import repro.advisor.validate as validate_module
-
-        lowered = []
-        lower = validate_module.lower_program
-
-        def counting_lower(program):
-            lowered.append(program.name)
-            return lower(program)
-
-        monkeypatch.setattr(validate_module, "lower_program", counting_lower)
+        lowered = count_lowerings(monkeypatch)
         program = build_doall_program()
         plan = plans_for(program)["doall:main:L0"]
         record = validate_plan(
@@ -149,6 +176,60 @@ class TestDifferentialSuite:
         # for the transformed program
         assert len(lowered) == 1 + len(THREADS)
 
+    def test_untransformable_kernel_is_never_lowered(self, monkeypatch):
+        lowered = count_lowerings(monkeypatch)
+        pb = ProgramBuilder("nest")
+        pb.array("a", 16)
+        pb.array("c", 16)
+        with pb.function("main") as fb:
+            with fb.loop("i", 0, 4) as i:
+                with fb.loop("j", 0, 4) as j:
+                    k = fb.add(fb.mul(i, 4.0), j)
+                    fb.store("c", k, fb.load("a", k))
+        program = pb.build()
+        plan = doall_plan(program, "nest:main:L0")
+        record = validate_plan(program, plan, threads=THREADS).validation
+        assert record.status == VALIDATION_UNVALIDATED
+        assert record.detail == (
+            "not transformable: nest:main:L0: non-straight-line statement For"
+        )
+        assert lowered == []
+
+    def test_user_function_call_is_not_transformable(self):
+        pb = ProgramBuilder("callee")
+        pb.array("a", 8)
+        pb.array("b", 8)
+        with pb.function("twice", params=("x",)) as hf:
+            hf.ret(hf.mul("x", 2.0))
+        with pb.function("main") as fb:
+            with fb.loop("i", 0, 8) as i:
+                fb.store("b", i, fb.call("twice", fb.load("a", i)))
+        program = pb.build()
+        plan = doall_plan(program, "callee:main:L0")
+        record = validate_plan(program, plan, threads=THREADS).validation
+        assert record.status == VALIDATION_UNVALIDATED
+        assert record.detail.endswith("call to non-intrinsic 'twice'")
+
+    def test_fault_under_a_schedule_refutes(self):
+        # k is shared because the plan omits private(k): run sequentially
+        # every store hits b[i], but once another thread's k is read the
+        # index leaves the array
+        pb = ProgramBuilder("faulty")
+        pb.array("a", 24)
+        pb.array("b", 24)
+        with pb.function("main") as fb:
+            with fb.loop("i", 0, 24) as i:
+                fb.assign("k", i)
+                index = fb.add(i, fb.mul(fb.sub("k", i), 100.0))
+                fb.store("b", index, fb.load("a", i))
+        program = pb.build()
+        plan = doall_plan(program, "faulty:main:L0")
+        record = validate_plan(program, plan, threads=(2,), seeds=(0,)).validation
+        assert record.status == VALIDATION_REFUTED
+        assert record.detail.startswith(
+            "runtime fault under roundrobin at T=2: store b["
+        ), record.detail
+
     def test_racy_plan_refuted_and_stripped(self):
         program, bad_plan = build_racy_demo()
         refuted = validate_plan(program, bad_plan, threads=THREADS, seeds=SEEDS)
@@ -158,6 +239,15 @@ class TestDifferentialSuite:
         # refutation strips the advice: never emitted as actionable
         assert not refuted.advised
         assert refuted.pragma is None
+
+    def test_mismatch_detail_prints_plain_floats(self):
+        program, bad_plan = build_racy_demo()
+        detail = validate_plan(program, bad_plan, threads=(2,)).validation.detail
+        # array elements are NumPy floats; the detail prints them as floats
+        assert "np.float64" not in detail
+        assert re.search(
+            r"diverges: b\[\d+\]: [-+.e\d]+ vs [-+.e\d]+ \(bitwise\)$", detail
+        ), detail
 
     def test_not_advised_plan_is_unvalidated(self):
         program = build_sequential_program()

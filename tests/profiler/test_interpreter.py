@@ -8,7 +8,13 @@ from repro.ir.linear import (
     BasicBlock, Imm, Instr, IRFunction, IRProgram, Opcode, Reg,
 )
 from repro.ir.lowering import lower_program
-from repro.profiler.interpreter import Interpreter, profile_program, run_program
+from repro.profiler.interpreter import (
+    POST,
+    PRE,
+    Interpreter,
+    profile_program,
+    run_program,
+)
 
 from tests.helpers import build_reduction_program, run_and_state
 
@@ -68,6 +74,20 @@ class TestArithmetic:
 
         report, _ = _run_main(body)
         assert report.return_value == 6.0
+
+    def test_and_evaluates_both_operands(self):
+        def body(fb):
+            fb.ret(fb.add(fb.cmp("&&", 2.0, 0.0), fb.cmp("&&", 2.0, 3.0)))
+
+        report, _ = _run_main(body)
+        assert report.return_value == 1.0
+
+        def faulting_rhs(fb):
+            fb.ret(fb.cmp("&&", 0.0, fb.load("a", 10)))
+
+        # no short circuit: the right operand runs even when the left is 0
+        with pytest.raises(InterpreterError, match="out of bounds"):
+            _run_main(faulting_rhs, arrays=[("a", 4)])
 
     def test_unknown_read_scalar_defaults_to_zero(self):
         def body(fb):
@@ -314,3 +334,81 @@ class TestMalformedIR:
         assert run_program(ir).return_value == 1.0
         ret.operands = (Imm(2.0),)
         assert run_program(ir).return_value == 2.0
+
+
+def _threaded(build_body, arrays=(("a", 4), ("b", 4))):
+    """``main`` with one loop ``t:main:L0`` built by ``build_body``,
+    lowered, plus an interpreter over it."""
+    pb = ProgramBuilder("t")
+    for name, size in arrays:
+        pb.array(name, size)
+    with pb.function("main") as fb:
+        build_body(fb)
+    ir = lower_program(pb.build())
+    return ir, Interpreter(ir, record=False)
+
+
+def _collect(tokens):
+    """A schedule that runs each thread to completion, in order, keeping
+    the tokens it yields."""
+    def schedule(threads):
+        for thread in threads:
+            tokens.extend(thread)
+    return schedule
+
+
+class TestThreads:
+    LOOP = "t:main:L0"
+
+    def test_yield_points(self):
+        def body(fb):
+            with fb.loop("i", 0, 2) as i:
+                fb.assign("t", fb.load("a", i))        # private
+                fb.assign("s", fb.add("s", "t"))       # shared
+                fb.store("b", i, "t")
+
+        _, interp = _threaded(body)
+        tokens = []
+        interp.execute({self.LOOP: frozenset({"i", "t"})}, _collect(tokens))
+        # STVAR of a private scalar, of a shared one, then a STORE; the
+        # induction variable's STVAR never yields
+        per_iteration = [
+            (PRE, False), (POST, False), (PRE, True), (POST, True),
+            (PRE, True), (POST, True),
+        ]
+        assert tokens == per_iteration * 2
+
+    def test_threaded_run_matches_plain_run(self):
+        def body(fb):
+            with fb.loop("i", 0, 4) as i:
+                fb.store("b", i, fb.mul(fb.load("a", i), 2.0))
+            fb.ret(fb.load("b", 3))
+
+        _, interp = _threaded(body)
+        plain = interp.execute()
+        plain_arrays = interp.arrays
+        threaded = interp.execute({self.LOOP: frozenset({"i"})}, _collect([]))
+        assert threaded == plain
+        assert interp.arrays == plain_arrays
+        assert interp.arrays is not plain_arrays  # each run starts afresh
+
+    def test_fault_inside_a_thread_raises(self):
+        def body(fb):
+            with fb.loop("i", 0, 4) as i:
+                fb.store("b", fb.add(i, 2.0), 1.0)
+
+        _, interp = _threaded(body)
+        with pytest.raises(InterpreterError, match=r"store b\[4\] out of bounds"):
+            interp.execute({self.LOOP: frozenset({"i"})}, _collect([]))
+
+    def test_step_budget_cuts_inside_a_thread(self):
+        def body(fb):
+            with fb.loop("i", 0, 1000):
+                fb.assign("x", 1.0)
+
+        ir, _ = _threaded(body)
+        interp = Interpreter(ir, record=False, max_steps=200)
+        tokens = []
+        with pytest.raises(InterpreterError, match="step budget of 200"):
+            interp.execute({self.LOOP: frozenset({"i"})}, _collect(tokens))
+        assert tokens  # the thread ran before the budget cut it

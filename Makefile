@@ -101,10 +101,10 @@ else
 	$(PYTHON) -m pytest benchmarks/bench_serve_latency.py --benchmark-only -q
 endif
 
-# Multi-process fleet scaling: FleetService at worker counts 1/2/4,
-# content-hash shard routing, open-loop deadline check.  The near-linear
-# scaling floor only gates on hosts with >= 4 cores; QUICK=1 runs the
-# small ungated CI variant.
+# Worker-pool scaling: InferenceService at fleet_workers 1/2/4 (1 = the
+# in-process backend), content-hash shard routing, open-loop deadline
+# check.  The near-linear scaling floor only gates on hosts with >= 4
+# cores; QUICK=1 runs the small ungated CI variant.
 bench-serve-fleet:
 ifdef QUICK
 	$(PYTHON) benchmarks/bench_serve_latency.py --fleet --quick

@@ -17,14 +17,18 @@ Every closed-loop label is also checked against a direct
 ``Engine.predict_many`` call over the same inputs: serving must not change
 predictions.
 
-**Fleet mode** (``--fleet``) drives :class:`repro.serve.FleetService`
-instead — the multi-process supervisor + sharded-worker stack — at worker
-counts 1, 2 and 4 over a content-diverse pool (every item hashes to its
-own shard key).  Labels are again pinned to a direct
-``Engine.predict_many``, the open-loop served p99 must stay under the
-deadline, and with >= 4 cores the 4-worker throughput must be
-near-linear over the 1-worker fleet (gated off on smaller hosts and in
-``--quick`` mode, where the table still prints).
+**Fleet mode** (``--fleet``) drives :class:`repro.serve.InferenceService`
+instead, at ``fleet_workers`` 1, 2 and 4, over a content-diverse pool
+(every item hashes to its own shard key).  The 1-worker row is the
+in-process backend; the 2- and 4-worker rows run the supervisor +
+sharded worker-process pool, so "vs 1w" reads as pool vs no pool.  Each
+row's closed loop sends ``FLEET_REQUESTS`` requests (cycling over the
+pool), enough for at least 1 s of wall time per row on a 2-core host.
+Labels are again pinned to a direct ``Engine.predict_many``, the
+open-loop served p99 must stay under the deadline, and with >= 4 cores
+the 4-worker throughput must be near-linear over the in-process row
+(gated off on smaller hosts and in ``--quick`` mode, where the table
+still prints).
 
 Runs two ways:
 
@@ -57,7 +61,7 @@ from repro.models.dgcnn import DGCNNConfig  # noqa: E402
 from repro.models.mvgnn import MVGNN, MVGNNConfig  # noqa: E402
 from repro.runtime import Engine  # noqa: E402
 from repro.runtime.engine import GraphInput  # noqa: E402
-from repro.serve import FleetService, MicroBatcher, ServeConfig  # noqa: E402
+from repro.serve import InferenceService, MicroBatcher, ServeConfig  # noqa: E402
 
 from tests.helpers import build_mixed_program, lower_and_verify  # noqa: E402
 
@@ -68,7 +72,10 @@ DEADLINE_MS = 1000.0
 #: the batcher serving late (which it never does)
 DEADLINE_SLACK = 1.25
 FLEET_WORKER_COUNTS = (1, 2, 4)
-#: 4 workers vs a 1-worker fleet: near-linear minus supervisor/IPC
+#: closed-loop requests per fleet row (full mode): >= 1 s of wall time on
+#: every row of a 2-core host, so no row is a warm-up-sized blip
+FLEET_REQUESTS = 12288
+#: 4 workers vs the in-process backend: near-linear minus supervisor/IPC
 #: overhead; only asserted when the host actually has >= 4 cores
 FLEET_SCALING_FLOOR = 2.4
 
@@ -255,7 +262,7 @@ def _fleet_pool(pool, engine):
 
 
 async def _fleet_closed_loop(service, items, concurrency):
-    """C clients against FleetService.submit_graph -> (elapsed_s, labels)."""
+    """C clients against InferenceService.submit_graph -> (elapsed_s, labels)."""
     work = deque(enumerate(items))
     labels = [None] * len(items)
 
@@ -298,7 +305,7 @@ async def _fleet_pass(engine, n_workers, items, concurrency, open_items,
         max_batch_size=32, max_wait_ms=2.0, max_queue_depth=4096,
         default_deadline_ms=None, fleet_workers=n_workers,
     )
-    service = FleetService(engine, config)
+    service = InferenceService(engine, config)
     await service.start()
     try:
         elapsed, labels = await _fleet_closed_loop(
@@ -309,10 +316,13 @@ async def _fleet_pass(engine, n_workers, items, concurrency, open_items,
         served, shed, p99 = await _fleet_open_loop(
             service, open_items, interval_s, deadline_ms
         )
-        shards_hit = sum(
-            1 for shard in range(n_workers)
-            if service.fleet_metrics.shard_requests(shard).value > 0
-        )
+        if service.fleet_metrics is None:  # in process: one slot
+            shards_hit = 1
+        else:
+            shards_hit = sum(
+                1 for shard in range(n_workers)
+                if service.fleet_metrics.shard_requests(shard).value > 0
+            )
     finally:
         await service.stop()
     return {
@@ -332,14 +342,17 @@ def measure_fleet(quick=False, concurrency=CONCURRENCY,
     pool, engine = _pool_and_engine(pool_size)
     items = _fleet_pool(pool, engine)
     direct = [int(x) for x in engine.predict_many(items)]
+    n_requests = len(items) if quick else FLEET_REQUESTS
+    requests = [items[pos % len(items)] for pos in range(n_requests)]
+    expected = [direct[pos % len(items)] for pos in range(n_requests)]
     open_items = items if quick else items[:128]
 
     passes = []
     for n_workers in worker_counts:
         result = asyncio.run(_fleet_pass(
-            engine, n_workers, items, concurrency, open_items, DEADLINE_MS
+            engine, n_workers, requests, concurrency, open_items, DEADLINE_MS
         ))
-        assert result["labels"] == direct, (
+        assert result["labels"] == expected, (
             f"fleet serving with {n_workers} worker(s) changed labels"
         )
         del result["labels"]
@@ -347,7 +360,7 @@ def measure_fleet(quick=False, concurrency=CONCURRENCY,
     base = passes[0]["elapsed"]
     for result in passes:
         result["speedup"] = base / result["elapsed"]
-    return {"requests": len(items), "passes": passes}
+    return {"requests": n_requests, "distinct": len(items), "passes": passes}
 
 
 def _report_fleet(result, emit, concurrency=CONCURRENCY):
@@ -360,8 +373,9 @@ def _report_fleet(result, emit, concurrency=CONCURRENCY):
              f"{row['speedup']:>6.1f}x"
              f"{row['shards_hit']:>12}"
              f"{row['open_p99_s'] * 1000:>13.1f}{row['open_shed']:>6}")
-    emit(f"closed loop: {concurrency} clients, {requests} content-distinct "
-         f"requests, labels identical to direct Engine.predict_many")
+    emit(f"closed loop: {concurrency} clients, {requests} requests over "
+         f"{result['distinct']} content-distinct graphs, labels identical to "
+         f"direct Engine.predict_many; 1 worker = in-process backend")
     emit(f"open loop deadline {DEADLINE_MS:.0f}ms; host cores: "
          f"{os.cpu_count()}")
 
@@ -446,8 +460,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fleet", action="store_true",
-        help="benchmark FleetService (multi-process worker fleet) over "
-             "worker counts 1/2/4 instead of the single-process batcher",
+        help="benchmark InferenceService at fleet_workers 1/2/4 (1 = "
+             "in process, >1 = worker pool) instead of the bare batcher",
     )
     parser.add_argument("--concurrency", type=int, default=CONCURRENCY)
     args = parser.parse_args(argv)

@@ -10,8 +10,11 @@ asserts a healthy steady state:
 * zero load-shedding (``serve_shed_*_total == 0``),
 
 then SIGTERMs the server and requires a clean exit with status 130.
+``--workers N`` (N > 1) runs the same checks against a worker-pool server
+(``repro serve --workers N``), whose /healthz must also report N workers.
 
-Usage: ``python benchmarks/serve_smoke.py [--clients N] [--requests M]``
+Usage: ``python benchmarks/serve_smoke.py [--clients N] [--requests M]
+[--workers N]``
 """
 
 import argparse
@@ -29,7 +32,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STARTUP_TIMEOUT_S = 120
 
 
-def _start_server():
+def _start_server(workers):
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -38,7 +41,7 @@ def _start_server():
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--app", "fib",
          "--epochs", "0", "--port", "0", "--max-wait-ms", "2",
-         "--deadline-ms", "30000"],
+         "--deadline-ms", "30000", "--workers", str(workers)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -90,14 +93,19 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--requests", type=int, default=5,
                         help="classify calls per client thread")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="engine worker processes (1 = in process)")
     args = parser.parse_args(argv)
     total = args.clients * args.requests
 
     print("starting repro serve ...")
-    process, port = _start_server()
+    process, port = _start_server(args.workers)
     try:
         status, raw = _get(port, "/healthz")
-        assert status == 200 and json.loads(raw)["status"] == "ok"
+        health = json.loads(raw)
+        assert status == 200 and health["status"] == "ok"
+        if args.workers > 1:
+            assert health["fleet_size"] == args.workers, health
         print(f"healthz ok on port {port}")
 
         # one example payload per client so requests differ

@@ -258,12 +258,7 @@ def _build_advisor_plan_index(spec, samples, engine):
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.serve import (
-        FleetService,
-        InferenceService,
-        ServeConfig,
-        serve_forever,
-    )
+    from repro.serve import InferenceService, ServeConfig, serve_forever
 
     if args.action == "reload":
         return _cmd_serve_reload(args)
@@ -307,17 +302,13 @@ def _cmd_serve(args) -> int:
         )
         print(f"advisor: {len(advisor_plans)} plan index entries, "
               f"{validated} execution-validated (POST /v1/advise)", flush=True)
-    if args.workers > 1:
-        service = FleetService(
-            engine, config, examples=samples, advisor_plans=advisor_plans
-        )
+    service = InferenceService(
+        engine, config, examples=samples, advisor_plans=advisor_plans
+    )
+    if service.supervisor is not None:
         print(f"fleet: {args.workers} engine worker processes, "
               f"content-hash shard routing, "
               f"retries={config.worker_retries}", flush=True)
-    else:
-        service = InferenceService(
-            engine, config, examples=samples, advisor_plans=advisor_plans
-        )
     print(f"micro-batcher: max_batch_size={config.max_batch_size}, "
           f"max_wait_ms={config.max_wait_ms}, "
           f"queue_depth={config.max_queue_depth}, "

@@ -1,4 +1,4 @@
-"""Async micro-batching inference service, single-process or fleet.
+"""Async micro-batching inference service over one engine or a worker pool.
 
 The serving layer over :mod:`repro.runtime`: a long-lived asyncio front
 end that coalesces concurrent loop-classification requests into engine
@@ -8,24 +8,26 @@ queueing unboundedly (:class:`~repro.errors.QueueFullError` /
 HTTP API (:class:`HttpServer`) with Prometheus metrics
 (:mod:`repro.serve.metrics`).
 
-Two execution modes share that front end:
+One :class:`InferenceService` runs every request path (admission,
+precision tiers, advice, the 400/422 gate) over either backend, chosen by
+``ServeConfig.fleet_workers``:
 
-* **single-process** (:class:`InferenceService`) — one in-process engine
-  behind one micro-batcher;
-* **fleet** (:class:`FleetService`) — a :class:`Supervisor` pre-forks N
-  engine worker processes, requests route to per-worker shards by content
-  hash (each worker's FeatureCache stays hot on its shard), dead workers
-  respawn with the lost batch retried invisibly, and rolling restart /
-  hot weight reload swap workers blue-green with zero dropped requests.
+* **1 slot** — batches run on the in-process engine;
+* **N > 1 slots** — a :class:`Supervisor` pre-forks N engine worker
+  processes, requests route to per-worker shards by content hash
+  (:func:`content_shard`; each worker's FeatureCache stays hot on its
+  shard), dead workers respawn with the lost batch retried invisibly, and
+  rolling restart / hot weight reload swap workers blue-green with zero
+  dropped requests.
 
 Start one from the command line with ``python -m repro serve``
-(``--workers N`` for the fleet); see docs/SERVING.md for the API
-reference and tuning guide, docs/OPERATIONS.md for the fleet runbook.
+(``--workers N`` for a worker pool); see docs/SERVING.md for the API
+reference and tuning guide, docs/OPERATIONS.md for the worker-pool
+runbook.
 """
 
 from repro.serve.batcher import USE_DEFAULT, MicroBatcher
 from repro.serve.config import ServeConfig
-from repro.serve.fleet import FleetService, content_shard
 from repro.serve.http import HttpServer, serve_forever
 from repro.serve.metrics import (
     BATCH_SIZE_BUCKETS,
@@ -38,14 +40,17 @@ from repro.serve.metrics import (
     ServeMetrics,
     bind_engine_stats,
 )
-from repro.serve.service import InferenceService, resolve_precision
+from repro.serve.service import (
+    InferenceService,
+    content_shard,
+    resolve_precision,
+)
 from repro.serve.supervisor import Supervisor, WorkerHandle, WorkerPayload
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
     "Counter",
     "FleetMetrics",
-    "FleetService",
     "Gauge",
     "Histogram",
     "HttpServer",

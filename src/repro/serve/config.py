@@ -54,9 +54,11 @@ class ServeConfig:
     request_timeout_s:
         Idle read timeout per HTTP connection.
     fleet_workers:
-        Engine worker *processes*.  1 keeps the single-process service
-        (one in-process engine); >1 starts the sharded multi-process fleet
-        (:mod:`repro.serve.fleet`) — the CLI's ``repro serve --workers N``.
+        Engine slots behind :class:`~repro.serve.service.InferenceService`.
+        1 runs batches on the in-process engine; >1 starts a
+        :class:`~repro.serve.supervisor.Supervisor` over that many worker
+        processes with content-hash shard routing — the CLI's
+        ``repro serve --workers N``.
     worker_retries:
         How many times one predict batch may be re-sent to a fresh worker
         after its worker died mid-request, before failing the batch.
@@ -94,7 +96,7 @@ class ServeConfig:
     port: int = 8100
     max_body_bytes: int = 8 * 1024 * 1024
     request_timeout_s: float = 60.0
-    # -- multi-process fleet (repro.serve.fleet; ignored single-process) ----
+    # -- worker pool (fleet_workers > 1; the rest is ignored with 1) -------
     fleet_workers: int = 1
     worker_retries: int = 2
     worker_start_timeout_s: float = 60.0

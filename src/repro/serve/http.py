@@ -18,8 +18,8 @@ Routes
 ``GET  /v1/example``        a valid classify payload from the example pool
 ``GET  /healthz``           liveness + config summary (+ per-worker status)
 ``GET  /metrics``           Prometheus text exposition
-``POST /admin/reload``      fleet mode: rolling hot weight reload (409 else)
-``POST /admin/restart``     fleet mode: rolling worker restart (409 else)
+``POST /admin/reload``      worker pool: rolling hot weight reload (409 else)
+``POST /admin/restart``     worker pool: rolling worker restart (409 else)
 ==========================  =====================================================
 
 Both classify routes accept ``?precision=exact|fast`` to pin the execution
@@ -27,11 +27,10 @@ tier (a ``"precision"`` body field works too; the query parameter wins).
 Unpinned requests get the server's default tier, subject to the
 degrade-before-shed policy — see docs/SERVING.md.
 
-The ``service`` behind the front end is either the single-process
-:class:`~repro.serve.service.InferenceService` or the multi-process
-:class:`~repro.serve.fleet.FleetService` — both expose the same endpoint
-surface, so routing below never branches on the mode (except the admin
-routes, which require a fleet).
+The ``service`` behind the front end is one
+:class:`~repro.serve.service.InferenceService`, over its in-process engine
+or a worker pool; routing below never branches on the backend, except the
+admin routes, which need a pool (``service.supervisor``).
 
 Error mapping: :class:`~repro.errors.WireError` -> 400,
 :class:`~repro.errors.GraphValidationError` -> 422 (with a machine-readable
@@ -234,7 +233,7 @@ class HttpServer:
             if path == "/v1/advise":
                 if method != "POST":
                     return 405, {"error": "use POST"}, "application/json", {}
-                if getattr(self.service, "advisor_plans", None) is None:
+                if self.service.advisor_plans is None:
                     return (
                         409,
                         {"error": "advisor not enabled: start the server "
@@ -287,14 +286,14 @@ class HttpServer:
     async def _route_admin(
         self, path: str, body: bytes
     ) -> Tuple[int, Any, str, Dict[str, str]]:
-        """Fleet administration: rolling reload / restart (fleet mode only).
+        """Worker-pool administration: rolling reload / restart.
 
-        On a single-process service (no fleet behind the front end) these
-        answer 409 so operators learn the server has nothing to roll.
+        On a service with no worker pool behind it these answer 409 so
+        operators learn the server has nothing to roll.
         ``/admin/reload`` accepts an optional JSON body
         ``{"checkpoint": "<npz path>"}`` to load fresh weights first.
         """
-        if not hasattr(self.service, "reload"):
+        if self.service.supervisor is None:
             return (
                 409,
                 {"error": "not a fleet: start with --workers N to enable "

@@ -433,9 +433,9 @@ class ServeMetrics:
 class FleetMetrics:
     """Per-worker / per-shard metric families for the multi-process fleet.
 
-    One instance per :class:`~repro.serve.fleet.FleetService`; the
-    supervisor records lifecycle events, the shard router records routing
-    decisions.  Children are created lazily per worker slot / shard index
+    One instance per :class:`~repro.serve.service.InferenceService` with a
+    worker pool (none in process); the supervisor records lifecycle events,
+    the shard router records routing decisions.  Children are created lazily per worker slot / shard index
     (label values are slot indices, stable across respawns — a respawned
     worker keeps its slot's series, which is what makes
     ``serve_worker_restarts_total`` meaningful).

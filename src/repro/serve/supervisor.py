@@ -1,8 +1,8 @@
 """Pre-forked engine worker processes and the supervisor that keeps them up.
 
-The multi-process half of the serving fleet (:mod:`repro.serve.fleet`):
-each worker slot holds one OS process running :func:`worker_main` — a
-serial loop over a duplex pipe that builds its *own*
+The worker-pool backend of :class:`~repro.serve.service.InferenceService`
+(``fleet_workers`` > 1): each worker slot holds one OS process running
+:func:`worker_main` — a serial loop over a duplex pipe that builds its *own*
 :class:`~repro.runtime.engine.Engine` (own FeatureCache, own GIL) and
 answers framed predict/ping/reload/stats/shutdown requests
 (:mod:`repro.serve.wire`, "worker IPC protocol").
@@ -177,13 +177,12 @@ def worker_main(conn, slot: int, generation: int, payload: WorkerPayload) -> Non
             continue
         try:
             if kind == wire.IPC_PREDICT:
-                # payload is a plain item list (legacy) or a dict
-                # {"items": [...], "precision": "fast"} (precision-tiered)
-                if isinstance(body, dict):
-                    items = body["items"]
-                    precision = body.get("precision")
-                else:
-                    items, precision = body, None
+                # {"items": [...], "precision": tier or None (default)}
+                if not isinstance(body, dict) or "items" not in body:
+                    raise WireError(
+                        "predict: expected an {'items', 'precision'} body"
+                    )
+                items, precision = body["items"], body.get("precision")
                 labels = [
                     int(label)
                     for label in engine.predict_many(
@@ -539,13 +538,9 @@ class Supervisor:
         thread.  A batch lost to a dying/hung worker is re-sent to the
         slot's replacement up to ``worker_retries`` times — the client
         never sees a single worker crash.  ``precision`` pins the worker's
-        execution tier for this batch (None = the worker engine's default);
-        the legacy plain-list frame is kept for unpinned batches.
+        execution tier for this batch (None = the worker engine's default).
         """
-        if precision is None:
-            payload: Any = list(items)
-        else:
-            payload = {"items": list(items), "precision": precision}
+        payload = {"items": list(items), "precision": precision}
         attempts = self.config.worker_retries + 1
         last_error: Optional[WorkerExitedError] = None
         for attempt in range(attempts):

@@ -216,9 +216,9 @@ def sample_to_wire(sample) -> Dict[str, Any]:
 # ==============  =======================  ================================
 # kind            payload (request)        payload (reply)
 # ==============  =======================  ================================
-# ``predict``     list of engine inputs    list of int labels
-#                 or {"items": [...],
-#                     "precision": "fast"}
+# ``predict``     {"items": [...],         list of int labels
+#                  "precision": tier or
+#                  None (engine default)}
 # ``ping``        None                     worker info dict (pid, shard...)
 # ``reload``      {name: ndarray} params   worker info dict
 # ``stats``       None                     EngineStats dict

@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, timing, and caching."""
+"""Shared utilities: deterministic RNG handling and caching."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 from repro.utils.cache import DiskCache, stable_hash
 
-__all__ = ["ensure_rng", "spawn_rngs", "Timer", "DiskCache", "stable_hash"]
+__all__ = ["ensure_rng", "spawn_rngs", "DiskCache", "stable_hash"]

@@ -1,10 +1,14 @@
-"""Serving fleet: content-hash routing, worker IPC, chaos, and admin ops.
+"""Serving worker pool: content-hash routing, worker IPC, chaos, admin ops.
 
-In-process tests over :class:`~repro.serve.fleet.FleetService` and
-:class:`~repro.serve.supervisor.Supervisor` with a tiny real MV-GNN:
+In-process tests over :class:`~repro.serve.service.InferenceService` with
+``fleet_workers`` > 1 and :class:`~repro.serve.supervisor.Supervisor`,
+with a tiny real MV-GNN:
 
 * routing — :func:`content_shard` is deterministic, in range, and the
-  fleet's labels are identical to a direct ``Engine.predict_many``;
+  pool's labels are identical to a direct ``Engine.predict_many``;
+* backend parity — one engine answers byte-identical classify / advise /
+  batch bodies with ``fleet_workers`` 1 (in process) and 2 (worker pool),
+  and the 400/422 gate fires before any slot is chosen on both;
 * chaos — SIGKILLing a worker under concurrent load loses zero client
   requests (the supervisor retries the batch on the respawned worker);
 * operations — rolling restart and hot weight reload swap every worker
@@ -21,6 +25,7 @@ end-to-end over HTTP) lives in ``test_fleet_signals.py`` behind the
 """
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -28,9 +33,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ServeError, WireError, WorkerExitedError
+from repro.errors import (
+    GraphValidationError,
+    ServeError,
+    WireError,
+    WorkerExitedError,
+)
 from repro.serve import (
-    FleetService,
+    InferenceService,
     ServeConfig,
     Supervisor,
     WorkerPayload,
@@ -38,9 +48,13 @@ from repro.serve import (
 )
 from repro.serve import wire
 from repro.serve.http import HttpServer
-from repro.serve.service import InferenceService
 
-from tests.serve.helpers import random_graph, tiny_engine
+from tests.serve.helpers import (
+    graph_payload,
+    random_graph,
+    random_payloads,
+    tiny_engine,
+)
 
 
 def run(coro):
@@ -61,7 +75,7 @@ def fleet_config(n_workers=2, **overrides):
 
 
 async def with_fleet(engine, config, body, **kwargs):
-    service = FleetService(engine, config, **kwargs)
+    service = InferenceService(engine, config, **kwargs)
     await service.start()
     try:
         return await body(service)
@@ -103,7 +117,7 @@ class TestContentShard:
         assert content_shard(random_graph(rng, 5), 1) == 0
 
 
-class TestFleetService:
+class TestWorkerPoolService:
     def test_labels_match_direct_engine(self, rng):
         engine = tiny_engine()
         graphs = make_graphs(rng, 16)
@@ -159,6 +173,94 @@ class TestFleetService:
             return True
 
         assert run(with_fleet(tiny_engine(), fleet_config(2), body))
+
+
+def invalid_payload(rng):
+    """Decodes into arrays but fails the GR lint gate (asymmetric adjacency)."""
+    payload = graph_payload(random_graph(rng, 4, graph_id="bad"))
+    payload["adjacency"][0][1] = 1.0
+    payload["adjacency"][1][0] = 0.0
+    return payload
+
+
+class TestBackendParity:
+    """``fleet_workers`` picks where batches run, never what clients see."""
+
+    def test_response_bodies_identical_across_backends(self, rng):
+        engine = tiny_engine()
+        payloads = random_payloads(rng, (3, 5, 6, 7, 8, 4))
+        # calibrated (static) scales: fast labels do not depend on how the
+        # two backends happen to split requests into batches
+        engine.calibrate([
+            random_graph(rng, n) for n in (3, 5, 6, 7, 8, 4)
+        ])
+        plans = {
+            "g0": {"loop": "g0", "validation": {"status": "validated"}},
+            "g2": {"loop": "g2", "validation": {"status": "refuted"}},
+        }
+        requests = [
+            *(("/v1/classify", p) for p in payloads),
+            ("/v1/classify?precision=fast", payloads[1]),
+            ("/v1/classify", {**payloads[2], "precision": "fast"}),
+            *(("/v1/advise", p) for p in payloads[:3]),
+            ("/v1/classify_batch", {"loops": payloads}),
+            ("/v1/classify_batch?precision=fast", {"loops": payloads[:3]}),
+            ("/v1/classify_batch",
+             {"loops": [payloads[0], invalid_payload(rng)]}),
+            ("/v1/classify", invalid_payload(rng)),
+            ("/v1/classify", ["not", "an", "object"]),
+        ]
+
+        def bodies(n_workers):
+            async def body(service):
+                server = HttpServer(service, service.config)
+                out = []
+                for path, payload in requests:
+                    status, result, _, _ = await server._route(
+                        "POST", path, json.dumps(payload).encode()
+                    )
+                    out.append((path, status, json.dumps(result)))
+                return out
+
+            return run(with_fleet(
+                engine, fleet_config(n_workers), body, advisor_plans=plans,
+            ))
+
+        in_process, pooled = bodies(1), bodies(2)
+        assert [status for _, status, _ in in_process] == (
+            [200] * 13 + [422, 422, 400]
+        )
+        assert in_process == pooled
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_gate_rejects_before_a_slot_is_chosen(
+        self, rng, monkeypatch, n_workers
+    ):
+        chosen = []
+        real_submit = InferenceService._submit
+
+        def spy_submit(self, graph, tier, deadline_ms):
+            chosen.append(graph.graph_id)
+            return real_submit(self, graph, tier, deadline_ms)
+
+        monkeypatch.setattr(InferenceService, "_submit", spy_submit)
+        good = graph_payload(random_graph(rng, 5, graph_id="ok"))
+
+        async def body(service):
+            with pytest.raises(GraphValidationError):
+                await service.classify(invalid_payload(rng))
+            with pytest.raises(GraphValidationError):
+                await service.classify_batch(
+                    {"loops": [good, invalid_payload(rng)]}
+                )
+            with pytest.raises(WireError):
+                await service.advise({"x_semantic": "nope"})
+            return service.metrics.requests.value
+
+        admitted = run(with_fleet(
+            tiny_engine(), fleet_config(n_workers), body, advisor_plans={},
+        ))
+        assert chosen == [] and admitted == 0
 
 
 class TestChaos:

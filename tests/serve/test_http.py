@@ -217,9 +217,12 @@ class TestErrorMapping:
         release = threading.Event()
         real_predict = engine.predict_many
 
-        def gated_predict(items, batch_size=None):
+        def gated_predict(items, batch_size=None, precision=None):
             release.wait(timeout=10)
-            return real_predict(items, batch_size=batch_size or len(items))
+            return real_predict(
+                items, batch_size=batch_size or len(items),
+                precision=precision,
+            )
 
         monkeypatch.setattr(engine, "predict_many", gated_predict)
         payloads = random_payloads(rng, (3, 4, 2))
@@ -241,7 +244,7 @@ class TestErrorMapping:
                 port, "POST", "/v1/classify",
                 body={**payloads[1], "deadline_ms": None},
             ))
-            await _poll_until(lambda: service.batcher.queue_depth >= 1)
+            await _poll_until(lambda: service.health()["queue_depth"] >= 1)
             # ...and the queue (depth 1) is full: this one is shed
             status, headers, raw = await http_request(
                 port, "POST", "/v1/classify", body=payloads[2]
@@ -259,11 +262,14 @@ class TestErrorMapping:
         engine = tiny_engine()
         real_predict = engine.predict_many
 
-        def slow_predict(items, batch_size=None):
+        def slow_predict(items, batch_size=None, precision=None):
             import time
 
             time.sleep(0.05)
-            return real_predict(items, batch_size=batch_size or len(items))
+            return real_predict(
+                items, batch_size=batch_size or len(items),
+                precision=precision,
+            )
 
         monkeypatch.setattr(engine, "predict_many", slow_predict)
         payloads = random_payloads(rng, (3,))

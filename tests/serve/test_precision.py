@@ -168,7 +168,7 @@ class TestDegradeBeforeShed:
         )
 
         async def body(service):
-            exact_batcher = service.batchers["exact"]
+            exact_batcher = service.batchers[(0, "exact")]
             first = asyncio.create_task(service.classify(payloads[0]))
             await _poll_until(lambda: service.metrics.requests.value >= 1)
             # engine occupied; a pinned-exact request now sits in the queue
@@ -206,7 +206,7 @@ class TestDegradeBeforeShed:
         )
 
         async def body(service):
-            exact_batcher = service.batchers["exact"]
+            exact_batcher = service.batchers[(0, "exact")]
             first = asyncio.create_task(service.classify(payloads[0]))
             await _poll_until(lambda: service.metrics.requests.value >= 1)
             second = asyncio.create_task(

@@ -1,13 +1,10 @@
-"""Utilities: rng handling, disk cache, timers."""
-
-import time
+"""Utilities: rng handling, disk cache."""
 
 import numpy as np
 import pytest
 
 from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rngs, spawn_seeds
-from repro.utils.timing import Timer
 
 
 class TestRng:
@@ -138,25 +135,3 @@ class TestDiskCache:
         cache.put("a", 1)
         cache.clear()
         assert cache.get("a") is None
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        timer = Timer()
-        for _ in range(3):
-            with timer.section("work"):
-                time.sleep(0.001)
-        assert timer.counts["work"] == 3
-        assert timer.totals["work"] > 0
-
-    def test_mean(self):
-        timer = Timer()
-        timer.add("x", 2.0)
-        timer.add("x", 4.0)
-        assert timer.mean("x") == 3.0
-        assert timer.mean("missing") is None
-
-    def test_report_mentions_sections(self):
-        timer = Timer()
-        timer.add("phase", 1.0)
-        assert "phase" in timer.report()

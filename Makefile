@@ -4,8 +4,8 @@ export PYTHONPATH := src
 # coverage floor (%) for the training fast path and batched runtime
 COV_FLOOR ?= 85
 
-.PHONY: test test-fast test-nightly test-cov test-tape test-quantize \
-	test-advisor test-ranges test-profiler bench bench-runtime bench-train \
+.PHONY: test test-fast test-nightly test-cov test-tape test-train \
+	test-quantize test-advisor test-ranges test-profiler bench bench-runtime \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -37,6 +37,21 @@ test-cov:
 # hypothesis properties, and golden-tape regression (see docs/RUNTIME.md).
 test-tape:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
+		tests/runtime/test_tape_differential.py \
+		tests/runtime/test_tape_properties.py \
+		tests/runtime/test_tape_golden.py -q
+
+# Training wall: the batched-vs-per-sample differential and
+# reproducibility suite (tests/train), the golden training digest, the
+# finite-difference gradchecks of the segment ops, the optimizer tests,
+# the bit-exact oracles of the scatter VJPs, CSR pack and Adam, and the
+# tape-compiler wall (see docs/RUNTIME.md "Training fast path").
+test-train:
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
+		tests/train/ \
+		tests/nn/test_batched_gradcheck.py \
+		tests/nn/test_optim.py \
+		tests/nn/test_primitive_scatter.py \
 		tests/runtime/test_tape_differential.py \
 		tests/runtime/test_tape_properties.py \
 		tests/runtime/test_tape_golden.py -q
@@ -85,9 +100,6 @@ bench:
 
 bench-runtime:
 	$(PYTHON) -m pytest benchmarks/bench_runtime_throughput.py --benchmark-only -q
-
-bench-train:
-	$(PYTHON) -m pytest benchmarks/bench_train_throughput.py --benchmark-only -q
 
 bench-assembly:
 	$(PYTHON) -m pytest benchmarks/bench_assembly_throughput.py --benchmark-only -q

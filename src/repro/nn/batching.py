@@ -17,15 +17,11 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse
 
 from repro.errors import ModelError
 from repro.nn.layers import normalized_adjacency
 from repro.nn.tensor import Tensor, as_tensor, concat
-
-try:  # scipy is a declared dependency, but keep the dense fallback honest
-    import scipy.sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparse = None
 
 
 def segment_offsets(sizes: Sequence[int]) -> np.ndarray:
@@ -45,8 +41,12 @@ def block_diagonal_adjacency(
     through it equals running :func:`normalized_adjacency` per graph — the
     blocks never interact.
 
-    Returns a scipy CSR matrix when scipy is available (linear in total
-    nodes + edges), otherwise a dense ndarray.
+    Returns a scipy CSR matrix whose arrays equal
+    ``scipy.sparse.block_diag(blocks, format="csr")``: every entry of every
+    dense block is stored (explicit zeros included), rows in order, and
+    the indices are int32 unless the entry count overflows it.  The arrays
+    are packed directly — each row of block ``g`` holds ``n_g`` entries
+    whose columns run from ``offsets[g]`` — instead of going through COO.
     """
     if not adjacencies:
         raise ModelError("block_diagonal_adjacency needs at least one graph")
@@ -60,16 +60,25 @@ def block_diagonal_adjacency(
         blocks.append(
             normalized_adjacency(adjacency) if normalize else adjacency
         )
-    if _sparse is not None:
-        return _sparse.block_diag(blocks, format="csr")
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    offset = 0
-    for block in blocks:
-        n = block.shape[0]
-        out[offset : offset + n, offset : offset + n] = block
-        offset += n
-    return out
+    sizes = np.array([block.shape[0] for block in blocks])
+    total = int(sizes.sum())
+    nnz = int(sizes @ sizes)
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    sizes = sizes.astype(index)
+    offsets = np.zeros(len(blocks) + 1, dtype=index)
+    np.cumsum(sizes, out=offsets[1:])
+    row_len = np.repeat(sizes, sizes)
+    indptr = np.zeros(total + 1, dtype=index)
+    np.cumsum(row_len, out=indptr[1:])
+    # entry p of a row of block g sits in column offsets[g] + (p - row start)
+    shift = np.repeat(offsets[:-1], sizes)
+    shift -= indptr[:-1]
+    indices = np.arange(nnz, dtype=index)
+    indices += np.repeat(shift, row_len)
+    data = np.concatenate([block.ravel() for block in blocks])
+    return scipy.sparse.csr_matrix(
+        (data, indices, indptr), shape=(total, total)
+    )
 
 
 def pad_segments(

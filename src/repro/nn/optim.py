@@ -65,7 +65,16 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction and optional gradient clipping."""
+    """Adam with bias correction and optional gradient clipping.
+
+    The moments of all parameters live in two flat buffers.  ``step`` takes
+    consecutive parameters that have a gradient in groups no larger than
+    the largest parameter, copies a group's gradients into a flat scratch
+    buffer of that size and evaluates the textbook update over the whole
+    group with ``out=`` ufuncs, in the textbook order.  Every element sees
+    exactly the operations of a per-parameter update, and a step allocates
+    nothing.
+    """
 
     def __init__(
         self,
@@ -81,27 +90,53 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.clip = clip
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        sizes = [p.data.size for p in self.params]
+        self._offsets = [0] + np.cumsum(sizes).tolist()
+        self._m = np.zeros(self._offsets[-1])
+        self._v = np.zeros(self._offsets[-1])
+        self._grad = np.empty(max(sizes))   # scratch: grads, then the update
+        self._tmp = np.empty(max(sizes))    # scratch: products, then sqrt(v̂)+eps
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
+        bias1 = 1.0 - self.beta1**self._t
+        bias2 = 1.0 - self.beta2**self._t
+        offsets, room = self._offsets, self._grad.size
+        first = None    # first parameter of the open group
         for pos, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.clip is not None:
-                grad = np.clip(grad, -self.clip, self.clip)
-            m = self._m[pos]
-            v = self._v[pos]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if first is not None and (
+                param.grad is None or offsets[pos + 1] - offsets[first] > room
+            ):
+                self._update(first, pos, bias1, bias2)
+                first = None
+            if first is None and param.grad is not None:
+                first = pos
+        if first is not None:
+            self._update(first, len(self.params), bias1, bias2)
+
+    def _update(self, first: int, stop: int, bias1: float, bias2: float) -> None:
+        """One Adam update of the parameters ``first .. stop - 1``."""
+        b1, b2 = self.beta1, self.beta2
+        params = self.params[first:stop]
+        bounds = self._offsets[first : stop + 1]
+        base, size = bounds[0], bounds[-1] - bounds[0]
+        grad, tmp = self._grad[:size], self._tmp[:size]
+        m, v = self._m[base : base + size], self._v[base : base + size]
+        np.concatenate([p.grad.ravel() for p in params], out=grad)
+        if self.clip is not None:
+            np.clip(grad, -self.clip, self.clip, out=grad)
+        m *= b1
+        m += np.multiply(1.0 - b1, grad, out=tmp)
+        v *= b2
+        np.multiply(1.0 - b2, grad, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        # tmp <- sqrt(v / bias2) + eps; grad <- (lr * (m / bias1)) / tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bias1, out=grad)
+        np.multiply(self.lr, grad, out=grad)
+        np.divide(grad, tmp, out=grad)
+        for param, start, end in zip(params, bounds, bounds[1:]):
+            param.data -= grad[start - base : end - base].reshape(param.data.shape)

@@ -174,11 +174,20 @@ _register(Primitive(
     kind="unary_ew", out_shape=_same_shape,
 ))
 
+
+def _tanh_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g * (1.0 - out ** 2)``: the same three operations, landing in one
+    fresh buffer instead of three."""
+    grad = out ** 2
+    np.subtract(1.0, grad, out=grad)
+    return np.multiply(g, grad, out=grad)
+
+
 _register(Primitive(
     "tanh",
     lambda ins, attrs, out: np.tanh(ins[0], out=out),
     lambda g, ins, out, res, attrs, needed: (
-        (g * (1.0 - out ** 2)) if needed[0] else None,
+        _tanh_vjp(g, out) if needed[0] else None,
     ),
     kind="unary_ew", out_shape=_same_shape,
 ))
@@ -260,8 +269,10 @@ def _adj_matmul_vjp(g, ins, out, res, attrs, needed):
     matrix, _h = ins
     if not needed[1]:
         return None, None
-    if hasattr(matrix, "tocsr"):  # scipy sparse: VJP is matrixᵀ @ grad
-        return None, np.asarray(matrix.T.tocsr() @ g)
+    if hasattr(matrix, "tocsr"):
+        # scipy sparse: matrixᵀ is a free CSC view whose product sums each
+        # output row in the same order as the CSR transpose would
+        return None, np.asarray(matrix.T @ g)
     return None, np.asarray(matrix).T @ g
 
 
@@ -372,11 +383,25 @@ _register(Primitive(
 
 
 def _gather_vjp(g, ins, out, res, attrs, needed):
+    """Scatter-add ``g`` back onto the gathered rows.
+
+    One ``bincount`` over the flat ``row * C + column`` keys equals
+    ``np.add.at`` into zeros bit for bit: both start every cell at 0.0 and
+    add its entries one at a time in index order, duplicates included.
+    (Only where two NaNs meet in one cell may the sum carry the other NaN's
+    sign or payload.)  Indices are row numbers (never negative), as the
+    tracer records them.
+    """
     if not needed[0]:
         return (None,)
-    grad_in = np.zeros_like(ins[0])
-    np.add.at(grad_in, attrs["indices"], g)
-    return (grad_in,)
+    x = ins[0]
+    rows = x.shape[0]
+    cols = x.size // rows if rows else 0
+    keys = attrs["indices"].ravel()
+    if cols != 1:
+        keys = (keys[:, None] * cols + np.arange(cols)).ravel()
+    grad_in = np.bincount(keys, weights=g.ravel(), minlength=rows * cols)
+    return (grad_in.reshape(x.shape),)
 
 
 _register(Primitive(
@@ -470,7 +495,12 @@ def _segment_sort_pool_vjp(g, ins, out, res, attrs, needed):
     indices = res
     grad_in = np.zeros_like(x)
     live = indices < x.shape[0]
-    np.add.at(grad_in, indices[live], g[live])
+    # live rows are distinct (each row is picked at most once), so a plain
+    # assignment equals np.add.at into zeros; ``+ 0.0`` maps -0.0 to +0.0
+    # exactly as that add does
+    picked = g[live]
+    picked += 0.0
+    grad_in[indices[live]] = picked
     return grad_in, None
 
 

@@ -82,6 +82,7 @@ class Tape:
         self.output: int = -1
         self.num_slots: int = 0
         self._needs: Optional[set] = None
+        self._reverse: Optional[list] = None
 
     # -- construction (used by the tracer) ----------------------------------
 
@@ -159,6 +160,20 @@ class Tape:
             self._needs = needs
         return self._needs
 
+    def _reverse_plan(self) -> list:
+        """``(pos, op, vjp, needed)`` of every op the reverse sweep visits —
+        those whose output needs a gradient — last op first."""
+        if self._reverse is None:
+            needs = self.needs_grad()
+            plan = []
+            for pos in range(len(self.ops) - 1, -1, -1):
+                op = self.ops[pos]
+                if op.out in needs:
+                    needed = tuple(s in needs for s in op.inputs)
+                    plan.append((pos, op, get_primitive(op.prim).vjp, needed))
+            self._reverse = plan
+        return self._reverse
+
     def backward(
         self,
         grad: np.ndarray,
@@ -167,25 +182,17 @@ class Tape:
     ) -> None:
         """Reverse sweep through the VJP table; accumulates into
         ``Parameter.grad`` exactly like the hand-written autograd path."""
-        needs = self.needs_grad()
-        if self.output not in needs:
+        if self.output not in self.needs_grad():
             return
         grads: Dict[int, np.ndarray] = {
             self.output: np.asarray(grad, dtype=np.float64)
         }
-        for pos in range(len(self.ops) - 1, -1, -1):
-            op = self.ops[pos]
+        for pos, op, vjp, needed in self._reverse_plan():
             g = grads.pop(op.out, None)
-            if g is None or op.out not in needs:
-                continue
-            prim = get_primitive(op.prim)
-            needed = tuple(s in needs for s in op.inputs)
-            if not any(needed):
+            if g is None:
                 continue
             ins = tuple(values[s] for s in op.inputs)
-            partials = prim.vjp(
-                g, ins, values[op.out], residuals[pos], op.attrs, needed
-            )
+            partials = vjp(g, ins, values[op.out], residuals[pos], op.attrs, needed)
             for slot, partial in zip(op.inputs, partials):
                 if partial is None:
                     continue

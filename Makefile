@@ -5,7 +5,7 @@ export PYTHONPATH := src
 COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-train \
-	test-quantize test-advisor test-ranges test-profiler bench bench-runtime \
+	test-infer test-quantize test-advisor test-ranges test-profiler bench \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -56,6 +56,22 @@ test-train:
 		tests/runtime/test_tape_properties.py \
 		tests/runtime/test_tape_golden.py -q
 
+# Inference wall: the tape wall, the engine and its thread-safety
+# tests, the served hot path (no mode flip per batch, executor steps bound
+# at construction, a planted swapped primitive), the GR admission gate's
+# pinned findings, and byte-identical serve bodies across backends (see
+# docs/RUNTIME.md "Trace-compiled forward").
+test-infer:
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
+		tests/runtime/test_tape_differential.py \
+		tests/runtime/test_tape_properties.py \
+		tests/runtime/test_tape_golden.py \
+		tests/runtime/test_engine.py \
+		tests/runtime/test_thread_safety.py \
+		tests/runtime/test_executor_hot_path.py \
+		tests/lint/test_graph_gate_equivalence.py \
+		"tests/serve/test_fleet.py::TestBackendParity" -q
+
 # Quantized fast-tier wall: differential accuracy wall across the
 # architecture/batch-shape matrix, int8-grid hypothesis properties, and
 # the serve-layer precision tiering (see docs/RUNTIME.md).
@@ -97,9 +113,6 @@ test-profiler:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-bench-runtime:
-	$(PYTHON) -m pytest benchmarks/bench_runtime_throughput.py --benchmark-only -q
 
 bench-assembly:
 	$(PYTHON) -m pytest benchmarks/bench_assembly_throughput.py --benchmark-only -q

@@ -76,30 +76,35 @@ def check_graph_arrays(
             )
             shape_ok = False
 
+    adjacency_finite = True
     for name, matrix in (
         ("adjacency", adjacency),
         ("x_semantic", x_semantic),
         ("x_structural", x_structural),
     ):
-        if matrix.size and not np.isfinite(matrix).all():
-            bad = int((~np.isfinite(matrix)).sum())
+        if not matrix.size:
+            continue
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            bad = matrix.size - int(np.count_nonzero(finite))
             report.emit(
                 GR002, where,
                 f"{name} contains {bad} NaN/Inf values",
                 {"field": name, "count": bad},
             )
+            if name == "adjacency":
+                adjacency_finite = False
 
-    if shape_ok and adjacency.size:
-        finite = np.isfinite(adjacency).all()
-        if finite:
-            if not np.array_equal(adjacency, adjacency.T):
-                report.emit(GR003, where, "adjacency is not symmetric")
-            if not np.isin(adjacency, (0.0, 1.0)).all():
-                report.emit(
-                    GR003, where, "adjacency has entries outside {0, 1}"
-                )
-            if np.diagonal(adjacency).any():
-                report.emit(GR003, where, "adjacency has self-loop diagonal entries")
+    # GR003 reads only finite values, so each test is a plain comparison
+    if shape_ok and adjacency.size and adjacency_finite:
+        if not (adjacency == adjacency.T).all():
+            report.emit(GR003, where, "adjacency is not symmetric")
+        if not ((adjacency == 0.0) | (adjacency == 1.0)).all():
+            report.emit(
+                GR003, where, "adjacency has entries outside {0, 1}"
+            )
+        if np.diagonal(adjacency).any():
+            report.emit(GR003, where, "adjacency has self-loop diagonal entries")
 
     if adjacency.ndim == 2:
         if n < 1:

@@ -7,17 +7,21 @@ amortizing the forward pass across :class:`~repro.runtime.batch.GraphBatch`
 packs and memoizing feature extraction in a
 :class:`~repro.runtime.features.FeatureCache`.
 
-Inference runs under ``no_grad`` with the model in eval mode (dropout off),
-and the model's train/eval state is restored afterwards, so an Engine can
-safely share a model with a training loop.
+Forward tapes are traced with the model in eval mode (dropout off) and
+never read its train/eval flag again, so serving a batch leaves the model's
+mode untouched; only tracing and the interpreted ``compile=False`` forward
+flip it to eval and restore it afterwards.  An Engine can therefore share a
+model with a training loop.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -245,37 +249,27 @@ class Engine:
                 f"precision must be one of {PRECISIONS}, got {tier!r}"
             )
         fast = tier == "fast" and self.compile
+        if fast:
+            forward = partial(self._forward_compiled, precision="fast")
+        elif self.compile:
+            # exact keeps the 1-arg call shape: test harnesses wrap
+            # _forward_compiled(self, batch) to inject skew
+            forward = self._forward_compiled
+        else:
+            forward = self._forward_interpreted
         started = time.perf_counter()
 
-        self._enter_eval()
-        try:
-            rows: List[np.ndarray] = []
-            batches = 0
-            compiled = 0
-            with no_grad():
-                start = 0
-                for chunk in iter_chunks(loops, size):
-                    batch = self._batch_for(chunk, start)
-                    if fast:
-                        rows.append(self._forward_compiled(batch, "fast"))
-                        compiled += 1
-                    elif self.compile:
-                        # exact keeps the 1-arg call shape: test harnesses
-                        # wrap _forward_compiled(self, batch) to inject skew
-                        rows.append(self._forward_compiled(batch))
-                        compiled += 1
-                    else:
-                        logits = self.model.forward_batch(
-                            batch.x_semantic,
-                            batch.x_structural,
-                            batch.adj_norm,
-                            batch.sizes,
-                        )
-                        rows.append(logits.data)
-                    batches += 1
-                    start += len(chunk)
-        finally:
-            self._exit_eval()
+        # a recorded tape never reads Module.training, so only the
+        # interpreted forward runs under the eval flip (tracing takes its
+        # own, in _executor_for)
+        rows: List[np.ndarray] = []
+        with nullcontext() if self.compile else self._eval_mode():
+            start = 0
+            for chunk in iter_chunks(loops, size):
+                rows.append(forward(self._batch_for(chunk, start)))
+                start += len(chunk)
+        batches = len(rows)
+        compiled = batches if self.compile else 0
 
         elapsed = time.perf_counter() - started
         with self._state_lock:
@@ -293,6 +287,14 @@ class Engine:
             )
         return np.concatenate(rows, axis=0)
 
+    def _forward_interpreted(self, batch: GraphBatch) -> np.ndarray:
+        """The layer-by-layer reference forward (``compile=False``)."""
+        with no_grad():
+            return self.model.forward_batch(
+                batch.x_semantic, batch.x_structural, batch.adj_norm,
+                batch.sizes,
+            ).data
+
     # -- tape compilation ----------------------------------------------------
 
     def _executor_for(self, batch: GraphBatch) -> TapeExecutor:
@@ -302,13 +304,16 @@ class Engine:
             with self._tape_lock:
                 executor = self._tapes.get(key)
                 if executor is None:
-                    tape = trace_mvgnn_forward(
-                        self.model,
-                        batch.x_semantic,
-                        batch.x_structural,
-                        batch.adj_norm,
-                        batch.sizes,
-                    )
+                    # the trace is the one compiled step that reads
+                    # Module.training: record the eval forward (no dropout)
+                    with self._eval_mode():
+                        tape = trace_mvgnn_forward(
+                            self.model,
+                            batch.x_semantic,
+                            batch.x_structural,
+                            batch.adj_norm,
+                            batch.sizes,
+                        )
                     executor = TapeExecutor(tape)
                     self._tapes[key] = executor
         return executor
@@ -434,34 +439,30 @@ class Engine:
         maxima: dict = {}
         prim_names = None
         tape = None
-        self._enter_eval()
-        try:
-            with no_grad():
-                start = 0
-                for chunk in iter_chunks(loops, size):
-                    batch = self._batch_for(chunk, start)
-                    tape = self._executor_for(batch).tape
-                    names = tuple(op.prim for op in tape.ops)
-                    if prim_names is None:
-                        prim_names = names
-                    elif names != prim_names:
-                        raise EngineError(
-                            "calibration batches traced different op "
-                            "sequences; cannot key scales by position"
-                        )
-                    record_activation_maxima(
-                        tape,
-                        {
-                            "x_semantic": batch.x_semantic,
-                            "x_structural": batch.x_structural,
-                            "adj_norm": batch.adj_norm,
-                            "sizes": batch.sizes,
-                        },
-                        maxima,
+        with self._eval_mode():
+            start = 0
+            for chunk in iter_chunks(loops, size):
+                batch = self._batch_for(chunk, start)
+                tape = self._executor_for(batch).tape
+                names = tuple(op.prim for op in tape.ops)
+                if prim_names is None:
+                    prim_names = names
+                elif names != prim_names:
+                    raise EngineError(
+                        "calibration batches traced different op "
+                        "sequences; cannot key scales by position"
                     )
-                    start += len(chunk)
-        finally:
-            self._exit_eval()
+                record_activation_maxima(
+                    tape,
+                    {
+                        "x_semantic": batch.x_semantic,
+                        "x_structural": batch.x_structural,
+                        "adj_norm": batch.adj_norm,
+                        "sizes": batch.sizes,
+                    },
+                    maxima,
+                )
+                start += len(chunk)
         param_scales = {
             tape.param_slots[op.inputs[1]]: symmetric_scale(
                 tape.params[op.inputs[1]].data
@@ -476,21 +477,24 @@ class Engine:
         self.reset_fast_tapes()
         return calibration
 
-    def _enter_eval(self) -> None:
-        """First concurrent call flips the model to eval; the rest ride it."""
+    @contextmanager
+    def _eval_mode(self):
+        """Eval mode for the body; the first concurrent holder flips the
+        model, the last one out restores its training flag."""
         with self._state_lock:
             if self._active_calls == 0:
                 self._restore_training = self.model.training
                 if self._restore_training:
                     self.model.eval()
             self._active_calls += 1
-
-    def _exit_eval(self) -> None:
-        with self._state_lock:
-            self._active_calls -= 1
-            if self._active_calls == 0 and self._restore_training:
-                self.model.train()
-                self._restore_training = False
+        try:
+            yield
+        finally:
+            with self._state_lock:
+                self._active_calls -= 1
+                if self._active_calls == 0 and self._restore_training:
+                    self.model.train()
+                    self._restore_training = False
 
     def predict_many(
         self,

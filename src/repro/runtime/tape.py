@@ -32,7 +32,6 @@ effect without re-tracing.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.errors import EngineError, ModelError
 from repro.nn.layers import Parameter
-from repro.nn.primitives import PRIMITIVES, Primitive, get_primitive
+from repro.nn.primitives import PRIMITIVES, get_primitive
 from repro.nn.tensor import Tensor, no_grad
 
 __all__ = [
@@ -606,6 +605,12 @@ class TapeExecutor:
     buffer table (the serving layer calls ``run`` from several threads), and
     ``run`` returns a fresh copy of the output so later calls can never
     overwrite a result the caller still holds.
+
+    Each plan step is bound once, here: the primitive's forward, input
+    slots, attrs, the ``out_shape`` of a fresh op, and the chain's
+    ``(fwd, attrs, other, left)`` links.  ``run`` replays that list with no
+    registry lookup, so an executor keeps the primitives that were
+    registered when it was built.
     """
 
     def __init__(self, tape: Tape) -> None:
@@ -613,46 +618,56 @@ class TapeExecutor:
         # scratch buffers take the tape's execution dtype: float64 for the
         # exact tier, float32 for quantized tapes (see repro.runtime.qtape)
         self.dtype = np.dtype(getattr(tape, "dtype", np.float64))
-        self.plan = build_plan(tape)
-        flat = unfuse_plan(self.plan)
+        plan = build_plan(tape)
+        flat = unfuse_plan(plan)
         if len(flat) != len(tape.ops) or any(
             a is not b for a, b in zip(flat, tape.ops)
         ):
             raise EngineError("fusion plan does not round-trip the tape")
+        self.steps = []
+        for step in plan:
+            op = step.base
+            prim = get_primitive(op.prim)
+            chain = tuple(
+                (get_primitive(link.prim).fwd, link.attrs, other, left)
+                for link, other, left in step.chain
+            )
+            self.steps.append((
+                prim.fwd, op.inputs, op.attrs,
+                prim.out_shape if prim.fresh else None, chain, step.out,
+            ))
 
     def new_buffers(self) -> List[Optional[np.ndarray]]:
-        return [None] * len(self.plan)
+        return [None] * len(self.steps)
 
     def run(
         self,
         bindings: Dict[str, object],
         buffers: Optional[List[Optional[np.ndarray]]] = None,
     ) -> np.ndarray:
-        tape = self.tape
-        values = tape.seed_values(bindings)
-        for pos, step in enumerate(self.plan):
-            op = step.base
-            prim = get_primitive(op.prim)
-            ins = tuple(values[s] for s in op.inputs)
+        values = self.tape.seed_values(bindings)
+        for pos, (fwd, inputs, attrs, out_shape, chain, out_slot) in enumerate(
+            self.steps
+        ):
+            ins = tuple([values[s] for s in inputs])
             out = None
-            if buffers is not None and prim.fresh and prim.out_shape is not None:
-                shape = prim.out_shape(ins, op.attrs)
-                buf = buffers[pos]
-                if buf is None or buf.shape != tuple(shape):
-                    buf = np.empty(shape, dtype=self.dtype)
-                    buffers[pos] = buf
-                out = buf
-            value = prim.forward(ins, op.attrs, out=out)
-            for chain_op, other, left in step.chain:
-                chain_prim = get_primitive(chain_op.prim)
-                # chains only start on fresh outputs, so in-place is safe
+            if buffers is not None and out_shape is not None:
+                shape = tuple(out_shape(ins, attrs))
+                out = buffers[pos]
+                if out is None or out.shape != shape:
+                    out = buffers[pos] = np.empty(shape, dtype=self.dtype)
+            value = fwd(ins, attrs, out)
+            # chains only start on fresh outputs, so in-place is safe
+            for link_fwd, link_attrs, other, left in chain:
                 if other is None:
-                    value = chain_prim.forward((value,), chain_op.attrs, out=value)
+                    pair = (value,)
+                elif left:
+                    pair = (value, values[other])
                 else:
-                    pair = (value, values[other]) if left else (values[other], value)
-                    value = chain_prim.forward(pair, chain_op.attrs, out=value)
-            values[step.out] = value
-        return np.array(values[tape.output], copy=True)
+                    pair = (values[other], value)
+                value = link_fwd(pair, link_attrs, value)
+            values[out_slot] = value
+        return np.array(values[self.tape.output], copy=True)
 
 
 # -- human-readable serialization (golden-tape regression) -------------------

@@ -142,8 +142,12 @@ class InferenceService:
                 WorkerPayload.from_engine(engine), self.config,
                 metrics=self.fleet_metrics,
             )
-            for shard in range(self.n_workers):
-                self.fleet_metrics.shard_requests(shard)  # register at zero
+            # bound (and registered at zero) once: a registry lookup
+            # validates the name and renders labels under a lock
+            self._shard_requests = [
+                self.fleet_metrics.shard_requests(shard)
+                for shard in range(self.n_workers)
+            ]
         else:
             bind_engine_stats(self.metrics.registry, engine)
         # the shared ServeMetrics aggregates admission/latency over slots
@@ -153,6 +157,10 @@ class InferenceService:
                 metrics=self.metrics,
             )
             for slot in range(self.n_workers)
+            for tier in wire.PRECISIONS
+        }
+        self._tier_requests = {
+            tier: self.metrics.precision_requests(tier)
             for tier in wire.PRECISIONS
         }
         # each MicroBatcher bound the shared depth gauge in its ctor
@@ -224,7 +232,7 @@ class InferenceService:
         tier, downgraded = resolve_precision(
             requested, self.config, default_depth
         )
-        self.metrics.precision_requests(tier).inc()
+        self._tier_requests[tier].inc()
         if downgraded:
             self.metrics.downgrades.inc()
         return tier
@@ -255,7 +263,7 @@ class InferenceService:
         slot = 0
         if self.supervisor is not None:
             slot = content_shard(graph, self.n_workers)
-            self.fleet_metrics.shard_requests(slot).inc()
+            self._shard_requests[slot].inc()
         return self.batchers[(slot, tier)].submit(
             graph, deadline_ms=deadline_ms
         )

@@ -5,7 +5,7 @@ export PYTHONPATH := src
 COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-train \
-	test-infer test-quantize test-advisor test-ranges test-profiler bench \
+	test-infer test-embed test-quantize test-advisor test-ranges test-profiler bench \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -71,6 +71,15 @@ test-infer:
 		tests/runtime/test_executor_hot_path.py \
 		tests/lint/test_graph_gate_equivalence.py \
 		"tests/serve/test_fleet.py::TestBackendParity" -q
+
+# Embedding wall: the inst2vec and anonymous-walk tests, the bit-exact
+# oracles of the ordered scatter-add, the SGD step and the vectorized
+# walk sampler, the golden embedding digest with its planted sum-first
+# scatter, and dataset extraction (see docs/RUNTIME.md "The training step").
+test-embed:
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
+		tests/embeddings/ \
+		tests/dataset/test_extraction.py -q
 
 # Quantized fast-tier wall: differential accuracy wall across the
 # architecture/batch-shape matrix, int8-grid hypothesis properties, and

@@ -5,7 +5,7 @@ export PYTHONPATH := src
 COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-train \
-	test-infer test-embed test-quantize test-advisor test-ranges test-profiler bench \
+	test-infer test-embed test-imports test-quantize test-advisor test-ranges test-profiler bench \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -80,6 +80,14 @@ test-embed:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/embeddings/ \
 		tests/dataset/test_extraction.py -q
+
+# Cold-start wall: the import budget (``import repro.cli`` loads no
+# networkx, scipy, models, trainer, runtime or server; --help and argument
+# errors load no numpy) and a --help that exits 0 (see docs/RUNTIME.md
+# "Cold start").
+test-imports:
+	$(PYTHON) -m pytest tests/test_import_budget.py -q
+	$(PYTHON) -m repro --help > /dev/null
 
 # Quantized fast-tier wall: differential accuracy wall across the
 # architecture/batch-shape matrix, int8-grid hypothesis properties, and

@@ -15,7 +15,7 @@ from repro.analysis import attach_node_features
 from repro.benchsuite import build_app
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
-from repro.peg import all_loop_subpegs, build_peg, to_dot, to_networkx
+from repro.peg import all_loop_subpegs, build_peg, to_dot
 from repro.profiler import profile_program
 
 
@@ -45,13 +45,6 @@ def main() -> None:
             f"wrote {sub_dot}: loop {loop_id.split(':')[-1]} "
             f"({len(sub)} nodes, authored label={label})"
         )
-
-    graph = to_networkx(peg)
-    print(
-        f"networkx export: {graph.number_of_nodes()} nodes / "
-        f"{graph.number_of_edges()} edges; node kinds: "
-        f"{sorted({d['kind'] for _n, d in graph.nodes(data=True)})}"
-    )
 
 
 if __name__ == "__main__":

@@ -44,9 +44,18 @@ class ReductionInfo:
     loop_id: str
 
 
-def find_reductions(fn: IRFunction, loop_id: str) -> Dict[str, ReductionInfo]:
-    """Recognized reduction accumulators of ``loop_id``, keyed by scoped symbol."""
-    blocks = loop_block_sets(fn).get(loop_id, set())
+def find_reductions(
+    fn: IRFunction,
+    loop_id: str,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
+) -> Dict[str, ReductionInfo]:
+    """Recognized reduction accumulators of ``loop_id``, keyed by scoped symbol.
+
+    ``block_sets`` is :func:`loop_block_sets` of ``fn``, when already known.
+    """
+    if block_sets is None:
+        block_sets = loop_block_sets(fn)
+    blocks = block_sets.get(loop_id, set())
     if not blocks:
         return {}
 

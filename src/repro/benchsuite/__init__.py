@@ -8,20 +8,15 @@ recursion).  Per-application loop counts match Table II exactly, enforced by
 a registry check.
 """
 
-from repro.benchsuite.base import AppSpec, LabeledLoop
-from repro.benchsuite.templates import TEMPLATES, TemplateContext
-from repro.benchsuite.registry import (
-    TABLE_II_COUNTS,
-    SUITE_OF_APP,
-    build_app,
-    build_suite,
-    build_all_apps,
-    app_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppSpec", "LabeledLoop",
-    "TEMPLATES", "TemplateContext",
-    "TABLE_II_COUNTS", "SUITE_OF_APP",
-    "build_app", "build_suite", "build_all_apps", "app_names",
-]
+# names load on first use: the CLI reads ``app_names`` without paying for
+# numpy and the template library
+__getattr__, __all__ = lazy_exports(__name__, {
+    "base": ("AppSpec", "LabeledLoop"),
+    "templates": ("TEMPLATES", "TemplateContext"),
+    "registry": (
+        "TABLE_II_COUNTS", "SUITE_OF_APP",
+        "build_app", "build_suite", "build_all_apps", "app_names",
+    ),
+})

@@ -6,11 +6,12 @@ the composed application against it so any plan drift fails loudly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.benchsuite.apps import compose_app
-from repro.benchsuite.base import AppSpec
 from repro.errors import DatasetError
+
+if TYPE_CHECKING:  # the IR and numpy load with the first build_app
+    from repro.benchsuite.base import AppSpec
 
 #: Table II of the paper: application -> number of for-loops.
 TABLE_II_COUNTS: Dict[str, int] = {
@@ -49,6 +50,8 @@ def app_names() -> List[str]:
 
 def build_app(name: str, seed_offset: int = 0) -> AppSpec:
     """Compose one application and verify its Table II loop count."""
+    from repro.benchsuite.apps import compose_app
+
     if name not in TABLE_II_COUNTS:
         raise DatasetError(
             f"unknown application {name!r}; known: {app_names()}"

@@ -61,6 +61,9 @@ Commands
 
 Long-running commands (``serve``, ``train``, ``dataset``) map SIGTERM and
 Ctrl-C to a clean shutdown with exit code 130 instead of a traceback.
+
+Each command imports the layers it runs inside its handler, so ``--help``,
+an argument error or a one-shot command loads only what it uses.
 """
 
 from __future__ import annotations
@@ -72,24 +75,13 @@ import threading
 from collections import Counter
 from typing import List, Optional
 
+from repro.benchsuite.registry import app_names
 from repro.errors import ReproError
-from repro.analysis import (
-    classify_all_loops,
-    classify_all_patterns,
-    render_report,
-    suggest_parallelization,
-)
-from repro.benchsuite import build_app, app_names
-from repro.experiments.table2 import format_table2, table2_dataset_statistics
-from repro.ir.lowering import lower_program
-from repro.ir.source_printer import program_to_source
-from repro.ir.verify import verify_program
-from repro.lint.shared_analysis import analysis_scope
-from repro.profiler import profile_program
-from repro.tools import AutoParLite, DiscoPoPClassifier, PlutoLite
 
 
 def _cmd_table2(_args) -> int:
+    from repro.experiments.table2 import format_table2, table2_dataset_statistics
+
     print(format_table2(table2_dataset_statistics()))
     return 0
 
@@ -111,6 +103,8 @@ def _build_app_engine(
     from repro.dataset.types import LoopDataset
     from repro.embeddings.anonwalk import AnonymousWalkSpace
     from repro.embeddings.inst2vec import Inst2Vec
+    from repro.ir.lowering import lower_program
+    from repro.ir.verify import verify_program
     from repro.models.dgcnn import DGCNNConfig
     from repro.models.mvgnn import MVGNNConfig
     from repro.runtime import Engine
@@ -258,6 +252,7 @@ def _build_advisor_plan_index(spec, samples, engine):
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from repro.benchsuite import build_app
     from repro.serve import InferenceService, ServeConfig, serve_forever
 
     if args.action == "reload":
@@ -323,6 +318,7 @@ def _cmd_serve(args) -> int:
 def _cmd_calibrate(args) -> int:
     """``repro calibrate``: record int8 scales and save them with weights."""
     _install_sigterm_handler()
+    from repro.benchsuite import build_app
     from repro.nn.serialize import save_params
 
     spec = build_app(args.app)
@@ -346,10 +342,12 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_train(args) -> int:
     _install_sigterm_handler()
-    spec = build_app(args.app)
+    from repro.benchsuite import build_app
     from repro.dataset.types import LoopDataset
     from repro.embeddings.anonwalk import AnonymousWalkSpace
     from repro.embeddings.inst2vec import Inst2Vec
+    from repro.ir.lowering import lower_program
+    from repro.ir.verify import verify_program
     from repro.models.dgcnn import DGCNNConfig
     from repro.models.mvgnn import MVGNNConfig
     from repro.runtime import FeatureCache
@@ -362,6 +360,7 @@ def _cmd_train(args) -> int:
 
     from repro.train.data import cached_samples_for_programs
 
+    spec = build_app(args.app)
     irs = []
     for program in spec.programs:
         ir = lower_program(program)
@@ -452,8 +451,14 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-@analysis_scope()  # IR rules, quarantine and DS005 share one analysis
 def _cmd_lint(args) -> int:
+    from repro.lint.shared_analysis import analysis_scope
+
+    with analysis_scope():  # IR rules, quarantine and DS005 share one analysis
+        return _lint(args)
+
+
+def _lint(args) -> int:
     _install_sigterm_handler()
     from repro.dataset.assemble import (
         DatasetConfig,
@@ -462,7 +467,9 @@ def _cmd_lint(args) -> int:
     )
     from repro.dataset.types import LoopDataset
     from repro.errors import ReproError as _ReproError
+    from repro.ir.lowering import lower_program
     from repro.ir.passes.pipeline import apply_pipeline
+    from repro.ir.verify import verify_program
     from repro.lint import (
         LintConfig,
         LintReport,
@@ -582,6 +589,14 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from repro.analysis.oracle import classify_all_loops
+    from repro.analysis.patterns import classify_all_patterns
+    from repro.benchsuite import build_app
+    from repro.ir.lowering import lower_program
+    from repro.ir.verify import verify_program
+    from repro.profiler import profile_program
+    from repro.tools import AutoParLite, DiscoPoPClassifier, PlutoLite
+
     spec = build_app(args.app)
     print(f"{args.app} ({spec.suite}): {spec.loop_count} loops, "
           f"{len(spec.programs)} programs")
@@ -630,6 +645,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_suggest(args) -> int:
+    from repro.analysis.suggestions import render_report, suggest_parallelization
+    from repro.benchsuite import build_app
+    from repro.ir.lowering import lower_program
+    from repro.ir.source_printer import program_to_source
+    from repro.ir.verify import verify_program
+    from repro.profiler import profile_program
+
     spec = build_app(args.app)
     if not 0 <= args.program < len(spec.programs):
         print(
@@ -650,6 +672,11 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
+    from repro.analysis.patterns import classify_all_patterns
+    from repro.benchsuite import build_app
+    from repro.ir.lowering import lower_program
+    from repro.profiler import profile_program
+
     spec = build_app(args.app)
     counts: Counter = Counter()
     for program in spec.programs:
@@ -682,6 +709,7 @@ def _cmd_advise(args) -> int:
     import json as json_mod
 
     from repro.advisor import advise_app, render_table, self_check
+    from repro.benchsuite import build_app
 
     threads = _parse_int_list(args.threads, "--threads")
     seeds = _parse_int_list(args.seeds, "--seeds")

@@ -1,44 +1,29 @@
-"""Dataset pipeline: loop extraction, augmentation, balancing, splits."""
+"""Dataset pipeline: loop extraction, augmentation, balancing, splits.
 
-from repro.dataset.types import LoopSample, LoopDataset
-from repro.dataset.extraction import extract_loop_samples
-from repro.dataset.transforms import (
-    op_substitution,
-    loop_order_modification,
-    dependence_injection,
-    TRANSFORM_NAMES,
-    apply_transform,
-)
-from repro.dataset.assemble import (
-    AssembledData,
-    DatasetConfig,
-    assemble_dataset,
-    balanced_subset,
-    build_extraction_tasks,
-    train_test_split,
-)
-from repro.dataset.parallel import (
-    AssemblyStats,
-    DropRecord,
-    ExtractionTask,
-    WorkerContext,
-    run_extraction_tasks,
-)
-from repro.dataset.stats import (
-    DatasetStats,
-    dataset_stats,
-    template_label_breakdown,
-    quirk_report,
-)
+Each name below is imported from its submodule on first use, so
+``from repro.dataset import LoopSample`` does not load the assembly, the
+process pool or the embeddings (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "LoopSample", "LoopDataset",
-    "extract_loop_samples",
-    "op_substitution", "loop_order_modification", "dependence_injection",
-    "TRANSFORM_NAMES", "apply_transform",
-    "AssembledData", "DatasetConfig", "assemble_dataset", "balanced_subset",
-    "build_extraction_tasks", "train_test_split",
-    "AssemblyStats", "DropRecord", "ExtractionTask", "WorkerContext",
-    "run_extraction_tasks",
-    "DatasetStats", "dataset_stats", "template_label_breakdown", "quirk_report",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __all__ = lazy_exports(__name__, {
+    "types": ("LoopSample", "LoopDataset"),
+    "extraction": ("extract_loop_samples",),
+    "transforms": (
+        "op_substitution", "loop_order_modification", "dependence_injection",
+        "TRANSFORM_NAMES", "apply_transform",
+    ),
+    "assemble": (
+        "AssembledData", "DatasetConfig", "assemble_dataset",
+        "balanced_subset", "build_extraction_tasks", "train_test_split",
+    ),
+    "parallel": (
+        "AssemblyStats", "DropRecord", "ExtractionTask", "WorkerContext",
+        "run_extraction_tasks",
+    ),
+    "stats": (
+        "DatasetStats", "dataset_stats", "template_label_breakdown",
+        "quirk_report",
+    ),
+})

@@ -15,7 +15,9 @@ carries a pre-spawned RNG seed, so the assembled dataset is byte-identical
 for any worker count and the :class:`~repro.utils.cache.DiskCache` key is
 executor-independent.  Results are cached on disk at two granularities:
 one entry per application shard (so a crashed or interrupted build resumes
-where it stopped) and one entry for the finished dataset.
+where it stopped) and, for the finished dataset, a manifest of each split's
+sample ids that a warm hit resolves against those shards, so no sample is
+written twice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from repro.analysis.features import FEATURE_NAMES
 from repro.benchsuite.base import AppSpec
-from repro.benchsuite.registry import build_all_apps, build_app
+from repro.benchsuite.registry import app_names, build_all_apps, build_app
 from repro.dataset.parallel import (
     GENERATED_SUITE,
     AssemblyStats,
@@ -54,8 +56,12 @@ from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rngs, spawn_seeds
 
 #: bump when extraction/assembly semantics change; invalidates disk caches
-#: (v6: range-sharpened static prover + IR004–IR006 range quarantine)
-_PIPELINE_VERSION = 6
+#: (v6: range-sharpened static prover + IR004–IR006 range quarantine;
+#: v7: the dataset entry is a manifest over the app shards)
+_PIPELINE_VERSION = 7
+
+#: the dataset's splits, in the order the manifest lists their sample ids
+_SPLITS = ("benchmark", "generated", "train", "test")
 
 #: DatasetConfig knobs that tune the executor, not the dataset content —
 #: excluded from the cache key so serial and parallel builds share entries.
@@ -184,15 +190,54 @@ def assemble_dataset(config: Optional[DatasetConfig] = None) -> AssembledData:
     config = config or DatasetConfig()
     cache = DiskCache() if config.use_cache else None
     if cache is not None:
-        cached = cache.get(config.cache_key())
+        cached = _from_manifest(cache, config)
         if cached is not None:
-            if cached.stats is not None:
-                cached.stats.cache_hit = True
             return cached
     data = _assemble(config)
     if cache is not None:
-        cache.put(config.cache_key(), data)
+        cache.put(config.cache_key(), _manifest(data))
     return data
+
+
+def _manifest(data: AssembledData) -> Dict[str, object]:
+    """The dataset cache entry: each split's sample ids in order, plus the
+    parts no shard holds.  The samples themselves stay in the app shards."""
+    manifest: Dict[str, object] = {
+        split: [s.sample_id for s in getattr(data, split)] for split in _SPLITS
+    }
+    manifest.update(
+        inst2vec=data.inst2vec, walk_space=data.walk_space, stats=data.stats
+    )
+    return manifest
+
+
+def _from_manifest(cache: DiskCache, config: DatasetConfig) -> Optional[AssembledData]:
+    """The cached dataset rebuilt from its manifest and the app shards, or
+    ``None`` when the manifest is missing or malformed, or any shard is
+    missing or fails :func:`_shard_valid`."""
+    manifest = cache.get(config.cache_key())
+    if not (isinstance(manifest, dict) and set(_SPLITS) <= set(manifest)):
+        return None
+    by_id: Dict[str, LoopSample] = {}
+    for name in config.apps if config.apps is not None else app_names():
+        payload = cache.get(config.shard_key(name))
+        if not _shard_valid(payload):
+            return None
+        for sample in list(payload["benchmark"]) + list(payload["generated"]):
+            by_id[sample.sample_id] = sample
+    try:
+        splits = {
+            split: LoopDataset([by_id[i] for i in manifest[split]], name=split)
+            for split in _SPLITS
+        }
+        stats = manifest["stats"]
+        stats.cache_hit = True
+        return AssembledData(
+            config=config, inst2vec=manifest["inst2vec"],
+            walk_space=manifest["walk_space"], stats=stats, **splits,
+        )
+    except (KeyError, TypeError, AttributeError):
+        return None
 
 
 def _selected_apps(config: DatasetConfig) -> List[AppSpec]:

@@ -1,28 +1,22 @@
-"""Experiment drivers: one module per table/figure of the paper."""
+"""Experiment drivers: one module per table/figure of the paper.
 
-from repro.experiments.common import (
-    ExperimentContext,
-    build_context,
-    make_mvgnn_adapter,
-    make_static_gnn_adapter,
-    make_ncc_adapter,
-    make_view_adapters,
-)
-from repro.experiments.table2 import table2_dataset_statistics
-from repro.experiments.table3 import table3_accuracy
-from repro.experiments.table4 import table4_npb_case_study
-from repro.experiments.fig7 import fig7_training_curves
-from repro.experiments.fig8 import fig8_view_importance
-from repro.experiments.fig1 import fig1_structural_patterns
+Each driver loads on first use: ``repro table2`` needs the benchmark
+registry, not the models and the trainer behind Table III (see
+:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "ExperimentContext", "build_context",
-    "make_mvgnn_adapter", "make_static_gnn_adapter", "make_ncc_adapter",
-    "make_view_adapters",
-    "table2_dataset_statistics",
-    "table3_accuracy",
-    "table4_npb_case_study",
-    "fig7_training_curves",
-    "fig8_view_importance",
-    "fig1_structural_patterns",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __all__ = lazy_exports(__name__, {
+    "common": (
+        "ExperimentContext", "build_context",
+        "make_mvgnn_adapter", "make_static_gnn_adapter", "make_ncc_adapter",
+        "make_view_adapters",
+    ),
+    "table2": ("table2_dataset_statistics",),
+    "table3": ("table3_accuracy",),
+    "table4": ("table4_npb_case_study",),
+    "fig7": ("fig7_training_curves",),
+    "fig8": ("fig8_view_importance",),
+    "fig1": ("fig1_structural_patterns",),
+})

@@ -179,11 +179,13 @@ def prover_context(program: ast.Program, ir, ranges) -> ProverContext:
     symbolic facts."""
     from repro.analysis.ranges import harvest_enclosing_bounds
     from repro.analysis.reduction import find_reductions
+    from repro.profiler.static_info import loop_block_sets
 
     reductions: Dict[str, Dict[str, str]] = {}
     for fn in ir.functions.values():
+        block_sets = loop_block_sets(fn)  # once per function, not per loop
         for loop_id in fn.loops:
-            found = find_reductions(fn, loop_id)
+            found = find_reductions(fn, loop_id, block_sets)
             reductions[loop_id] = {
                 info.symbol: info.operator for info in found.values()
             }

@@ -1,10 +1,8 @@
-"""PEG export: Graphviz DOT text and networkx graphs (Fig. 5 rendering)."""
+"""PEG export: Graphviz DOT text (Fig. 5 rendering)."""
 
 from __future__ import annotations
 
 from typing import Optional
-
-import networkx as nx
 
 from repro.peg.graph import EdgeKind, NodeKind, PEG
 
@@ -40,27 +38,3 @@ def to_dot(peg: PEG, title: Optional[str] = None) -> str:
         lines.append(f'  "{edge.src}" -> "{edge.dst}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def to_networkx(peg: PEG) -> nx.MultiDiGraph:
-    """Convert ``peg`` to a networkx MultiDiGraph with full attributes."""
-    graph = nx.MultiDiGraph(name=peg.name)
-    for node in peg.nodes.values():
-        graph.add_node(
-            node.node_id,
-            kind=node.kind.value,
-            function=node.function,
-            start=node.start_line,
-            end=node.end_line,
-            exec_count=node.exec_count,
-            loop_id=node.loop_id,
-        )
-    for edge in peg.edges:
-        graph.add_edge(
-            edge.src,
-            edge.dst,
-            kind=edge.kind.value,
-            dep_counts=dict(edge.dep_counts),
-            carried=bool(edge.carried_loops),
-        )
-    return graph

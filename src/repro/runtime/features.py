@@ -70,14 +70,15 @@ def embedder_fingerprint(inst2vec: Inst2Vec) -> str:
 
 
 def _topology_payload(subpeg: PEG) -> Dict[str, object]:
+    """What the walk sampler reads: the node order and, in edge order, each
+    edge's undirected pair, parallel edges kept (they fill the neighbour
+    lists).  Self-edges are dropped, as the sampler drops them."""
     node_ids = list(subpeg.nodes)
-    edges = sorted(
-        {
-            tuple(sorted((edge.src, edge.dst)))
-            for edge in subpeg.edges
-            if edge.src != edge.dst
-        }
-    )
+    edges = [
+        sorted((edge.src, edge.dst))
+        for edge in subpeg.edges
+        if edge.src != edge.dst
+    ]
     return {"nodes": node_ids, "edges": edges}
 
 

@@ -326,3 +326,74 @@ class TestShardCache:
         second = assemble_dataset(config)
         assert second.stats.cache_hit is True
         _identity(first, second)
+
+
+class TestDatasetManifest:
+    """The dataset entry lists each split's sample ids; the samples live
+    only in the app shards, and a warm hit rebuilds the splits from them."""
+
+    def _cold(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = DatasetConfig.tiny()
+        first = assemble_dataset(config)
+        from repro.utils.cache import DiskCache
+
+        return config, first, DiskCache(tmp_path)
+
+    def test_entry_holds_ids_not_samples(self, monkeypatch, tmp_path):
+        config, first, cache = self._cold(monkeypatch, tmp_path)
+        manifest = cache.get(config.cache_key())
+        for split in ("benchmark", "generated", "train", "test"):
+            assert manifest[split] == [s.sample_id for s in getattr(first, split)]
+        assert manifest["stats"].cache_hit is False
+        assert {"inst2vec", "walk_space"} <= set(manifest)
+
+    def test_warm_hit_matches_cold(self, monkeypatch, tmp_path):
+        config, first, _ = self._cold(monkeypatch, tmp_path)
+        second = assemble_dataset(config)
+        assert second.stats.cache_hit is True
+        _identity(first, second)
+        assert second.inst2vec.w_in.tobytes() == first.inst2vec.w_in.tobytes()
+        assert second.walk_space.num_types == first.walk_space.num_types
+        # the splits share the pools' sample objects, as a cold build does
+        pool = {id(s) for s in list(second.benchmark) + list(second.generated)}
+        assert all(id(s) in pool for s in list(second.train) + list(second.test))
+
+    def test_deleted_shard_is_a_miss(self, monkeypatch, tmp_path):
+        config, first, cache = self._cold(monkeypatch, tmp_path)
+        cache.path_for(config.shard_key("EP")).unlink()
+        second = assemble_dataset(config)
+        assert second.stats.cache_hit is False
+        assert (second.stats.shard_hits, second.stats.shard_misses) == (3, 1)
+        _identity(first, second)
+        third = assemble_dataset(config)  # the rebuilt manifest serves again
+        assert third.stats.cache_hit is True
+        _identity(first, third)
+
+    def test_invalid_shard_is_a_miss(self, monkeypatch, tmp_path):
+        config, first, cache = self._cold(monkeypatch, tmp_path)
+        key = config.shard_key("IS")
+        payload = cache.get(key)
+        payload["range_analysis_version"] = -1  # fails _shard_valid
+        cache.put(key, payload)
+        second = assemble_dataset(config)
+        assert second.stats.cache_hit is False
+        assert second.stats.shard_misses == 1
+        _identity(first, second)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.update(train=m["train"] + ["no/such/sample"]),
+        lambda m: m.pop("test"),
+        lambda m: m.update(stats=None),
+        lambda m: m.clear(),
+    ], ids=["unknown-id", "missing-split", "no-stats", "empty"])
+    def test_corrupt_manifest_is_a_miss(self, monkeypatch, tmp_path, corrupt):
+        config, first, cache = self._cold(monkeypatch, tmp_path)
+        manifest = cache.get(config.cache_key())
+        corrupt(manifest)
+        cache.put(config.cache_key(), manifest)
+        second = assemble_dataset(config)
+        assert second.stats.cache_hit is False
+        assert second.stats.shard_hits == 4  # the shards were still good
+        _identity(first, second)
+        assert assemble_dataset(config).stats.cache_hit is True

@@ -1,9 +1,7 @@
-"""DOT / networkx export details."""
-
-import networkx as nx
+"""DOT export details."""
 
 from repro.peg.graph import EdgeKind, NodeKind, PEG, PEGNode
-from repro.peg.viz import to_dot, to_networkx
+from repro.peg.viz import to_dot
 
 
 def _peg():
@@ -42,20 +40,17 @@ class TestDot:
         assert 'digraph "my title"' in to_dot(_peg(), title="my title")
 
 
-class TestNetworkx:
+class TestGraphFacts:
     def test_attributes_roundtrip(self):
-        graph = to_networkx(_peg())
-        assert graph.nodes["loop:L0"]["exec_count"] == 10
-        assert graph.nodes["cu0"]["start"] == 3
-        edges = [
-            d for _u, _v, d in graph.edges(data=True) if d["kind"] == "dep"
-        ]
-        assert edges[0]["dep_counts"] == {"RAW": 4}
-        assert edges[0]["carried"] is True
-
-    def test_graph_is_multidigraph(self):
-        assert isinstance(to_networkx(_peg()), nx.MultiDiGraph)
+        peg = _peg()
+        assert peg.node("loop:L0").exec_count == 10
+        assert peg.node("cu0").start_line == 3
+        edges = peg.dep_edges()
+        assert dict(edges[0].dep_counts) == {"RAW": 4}
+        assert bool(edges[0].carried_loops) is True
+        assert '"cu0" -> "cu1" [label="RAW carried"' in to_dot(peg)
 
     def test_degree_queries_work(self):
-        graph = to_networkx(_peg())
-        assert graph.out_degree("loop:L0") == 2
+        peg = _peg()
+        assert len(peg.out_edges("loop:L0")) == 2
+        assert to_dot(peg).count('"loop:L0" -> ') == 2

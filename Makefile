@@ -75,11 +75,13 @@ test-infer:
 # Embedding wall: the inst2vec and anonymous-walk tests, the bit-exact
 # oracles of the ordered scatter-add, the SGD step and the vectorized
 # walk sampler, the golden embedding digest with its planted sum-first
-# scatter, and dataset extraction (see docs/RUNTIME.md "The training step").
+# scatter, dataset extraction, and the agreement of extraction and the
+# training cache's featurizer (see docs/RUNTIME.md "The training step").
 test-embed:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/embeddings/ \
-		tests/dataset/test_extraction.py -q
+		tests/dataset/test_extraction.py \
+		tests/dataset/test_featurizer.py -q
 
 # Cold-start wall: the import budget (``import repro.cli`` loads no
 # networkx, scipy, models, trainer, runtime or server; --help and argument

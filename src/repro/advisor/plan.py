@@ -27,7 +27,7 @@ report, the on-disk artifacts linted by rule ``AD001``, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.oracle import classify_loop
 from repro.analysis.patterns import classify_all_patterns
@@ -43,6 +43,7 @@ from repro.ir import ast_nodes as ast
 from repro.ir.linear import IRProgram
 from repro.lint.static_dep import StaticVerdict, static_loop_verdicts
 from repro.profiler.report import ProfileReport
+from repro.profiler.static_info import program_block_sets
 
 #: Confidence tiers, in decreasing trust order.
 TIER_PROVER_CONFIRMED = "prover_confirmed"
@@ -244,7 +245,8 @@ def build_advice_plans(
     *not* run here; plans come back ``pending`` and
     :func:`repro.advisor.validate.validate_plan` fills the record in.
     """
-    patterns = classify_all_patterns(program, ir_program, report)
+    block_sets = program_block_sets(ir_program)  # once per function
+    patterns = classify_all_patterns(program, ir_program, report, block_sets)
     statics = static_loop_verdicts(program)
     loops = ir_program.all_loops()
 
@@ -291,10 +293,10 @@ def build_advice_plans(
         if advised:
             clauses = _build_clauses(
                 ir_program, loop_id, oracle, verdict_source, tier,
-                range_backed=bool(range_facts),
+                block_sets, range_backed=bool(range_facts),
             )
             pragma = render_pragma(
-                clause_strings(ir_program, loop_id, oracle)
+                clause_strings(ir_program, loop_id, oracle, block_sets)
             )
 
         if not verdict_parallel:
@@ -336,6 +338,7 @@ def _build_clauses(
     oracle,
     verdict_source: str,
     tier: str,
+    block_sets: Dict[str, Set[str]],
     range_backed: bool = False,
 ) -> Tuple[Clause, ...]:
     """Clause objects in the same deterministic order as the rendered
@@ -349,7 +352,7 @@ def _build_clauses(
 
     loop_info = ir_program.all_loops()[loop_id]
     fn = ir_program.function(loop_info.function)
-    reductions = find_reductions(fn, loop_id)
+    reductions = find_reductions(fn, loop_id, block_sets)
     for scoped in sorted(oracle.reductions, key=_bare):
         info = reductions.get(scoped)
         clauses.append(Clause(

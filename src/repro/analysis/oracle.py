@@ -27,6 +27,7 @@ from repro.ir.linear import IRProgram
 from repro.analysis.privatization import privatizable_scalars
 from repro.analysis.reduction import find_reductions
 from repro.profiler.report import DepKind, ProfileReport
+from repro.profiler.static_info import program_block_sets
 
 
 @dataclass
@@ -49,12 +50,15 @@ def classify_loop(
     report: ProfileReport,
     loop_id: str,
     allowed_reduction_ops: Optional[Set[str]] = None,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> OracleResult:
     """Classify one loop; raises if the loop id is unknown.
 
     ``allowed_reduction_ops`` restricts which reduction operators are
     recognized (tools model their gaps with it — e.g. DiscoPoP's classic
     recognizer covers ``+``/``*`` but not ``min``/``max``); None = all.
+    ``block_sets`` is :func:`program_block_sets` of ``program``, for
+    callers that classify many loops.
     """
     loops = program.all_loops()
     if loop_id not in loops:
@@ -64,7 +68,7 @@ def classify_loop(
     stats = report.loop_stats.get(loop_id)
     executed = stats is not None and stats.total_iterations > 0
 
-    reductions = find_reductions(fn, loop_id)
+    reductions = find_reductions(fn, loop_id, block_sets)
     if allowed_reduction_ops is not None:
         reductions = {
             sym: red
@@ -109,7 +113,8 @@ def classify_all_loops(
     program: IRProgram, report: ProfileReport
 ) -> Dict[str, OracleResult]:
     """Classify every loop of ``program``."""
+    block_sets = program_block_sets(program)  # once per function
     return {
-        loop_id: classify_loop(program, report, loop_id)
+        loop_id: classify_loop(program, report, loop_id, block_sets=block_sets)
         for loop_id in program.all_loops()
     }

@@ -32,6 +32,7 @@ from repro.ir import ast_nodes as ast
 from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram
 from repro.profiler.report import DepKind, ProfileReport
+from repro.profiler.static_info import program_block_sets
 from repro.tools.affine import normalize_affine
 
 
@@ -138,9 +139,11 @@ def classify_pattern(
     ir_program: IRProgram,
     report: ProfileReport,
     loop_id: str,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> PatternResult:
-    """Classify the parallel pattern of one For loop."""
-    oracle = classify_loop(ir_program, report, loop_id)
+    """Classify the parallel pattern of one For loop (``block_sets`` as in
+    :func:`~repro.analysis.oracle.classify_loop`)."""
+    oracle = classify_loop(ir_program, report, loop_id, block_sets=block_sets)
     loop = _find_loop_ast(program, loop_id)
     if loop is None:
         raise ProfilingError(f"no AST loop for {loop_id!r}")
@@ -189,14 +192,23 @@ def classify_pattern(
 
 
 def classify_all_patterns(
-    program: Program, ir_program: IRProgram, report: ProfileReport
+    program: Program,
+    ir_program: IRProgram,
+    report: ProfileReport,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> Dict[str, PatternResult]:
-    """Pattern classification for every For loop of ``program``."""
+    """Pattern classification for every For loop of ``program``.
+
+    ``block_sets`` is :func:`program_block_sets` of ``ir_program``,
+    computed here when not given.
+    """
     from repro.analysis.candidates import iter_parallel_candidate_loops
 
+    if block_sets is None:
+        block_sets = program_block_sets(ir_program)
     return {
         cand.loop_id: classify_pattern(
-            program, ir_program, report, cand.loop_id
+            program, ir_program, report, cand.loop_id, block_sets
         )
         for cand in iter_parallel_candidate_loops(program)
     }

@@ -51,7 +51,9 @@ def find_reductions(
 ) -> Dict[str, ReductionInfo]:
     """Recognized reduction accumulators of ``loop_id``, keyed by scoped symbol.
 
-    ``block_sets`` is :func:`loop_block_sets` of ``fn``, when already known.
+    ``block_sets`` maps loop ids to their block labels — :func:`loop_block_sets`
+    of ``fn``, or :func:`~repro.profiler.static_info.program_block_sets` of
+    its program — when already known.
     """
     if block_sets is None:
         block_sets = loop_block_sets(fn)

@@ -10,7 +10,7 @@ DiscoPoP's "automatic construct selection and variable classification"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.oracle import classify_loop
 from repro.analysis.patterns import (
@@ -22,6 +22,7 @@ from repro.analysis.reduction import find_reductions
 from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram
 from repro.profiler.report import ProfileReport
+from repro.profiler.static_info import program_block_sets
 
 
 @dataclass
@@ -45,7 +46,10 @@ def _bare(scoped: str) -> str:
 
 
 def clause_strings(
-    ir_program: IRProgram, loop_id: str, oracle
+    ir_program: IRProgram,
+    loop_id: str,
+    oracle,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> List[str]:
     """Deterministically ordered OpenMP clauses for one parallel loop.
 
@@ -55,13 +59,14 @@ def clause_strings(
     variable list is sorted and deduplicated.  Shared between
     :func:`suggest_for_loop` and :func:`repro.advisor.plan.build_advice_plans`
     so the CLI suggestion text and the advisor's rendered pragma can never
-    drift apart.
+    drift apart.  ``block_sets`` is :func:`program_block_sets` of
+    ``ir_program``, for callers that render many loops.
     """
     clauses: List[str] = []
     if oracle.reductions:
         loop_info = ir_program.all_loops()[loop_id]
         fn = ir_program.function(loop_info.function)
-        reductions = find_reductions(fn, loop_id)
+        reductions = find_reductions(fn, loop_id, block_sets)
         for scoped in sorted(oracle.reductions, key=_bare):
             info = reductions.get(scoped)
             operator = info.operator if info else "+"
@@ -89,6 +94,7 @@ def suggest_for_loop(
     ir_program: IRProgram,
     report: ProfileReport,
     result: PatternResult,
+    block_sets: Optional[Dict[str, Set[str]]] = None,
 ) -> Suggestion:
     loop_info = ir_program.all_loops()[result.loop_id]
     oracle = result.oracle
@@ -107,7 +113,9 @@ def suggest_for_loop(
             rationale=rationale,
         )
 
-    pragma = render_pragma(clause_strings(ir_program, result.loop_id, oracle))
+    pragma = render_pragma(
+        clause_strings(ir_program, result.loop_id, oracle, block_sets)
+    )
     rationale = f"{result.pattern.value}: {'; '.join(result.evidence[:1])}"
     return Suggestion(
         loop_id=result.loop_id,
@@ -138,9 +146,12 @@ def suggest_parallelization(
     program: Program, ir_program: IRProgram, report: ProfileReport
 ) -> Dict[str, Suggestion]:
     """Pragma suggestions for every For loop, keyed by loop id."""
-    patterns = classify_all_patterns(program, ir_program, report)
+    block_sets = program_block_sets(ir_program)  # once per function
+    patterns = classify_all_patterns(program, ir_program, report, block_sets)
     return {
-        loop_id: suggest_for_loop(program, ir_program, report, result)
+        loop_id: suggest_for_loop(
+            program, ir_program, report, result, block_sets
+        )
         for loop_id, result in patterns.items()
     }
 

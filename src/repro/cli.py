@@ -151,8 +151,7 @@ def _build_app_engine(
                         sortpool_k=8, seed=seed),
         )
     engine = Engine(
-        adapter.model, inst2vec=inst2vec, walk_space=walk_space,
-        batch_size=batch_size, compile=compile,
+        adapter.model, batch_size=batch_size, compile=compile,
         precision=precision, calibration=calibration,
     )
     return engine, samples

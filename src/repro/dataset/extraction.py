@@ -1,14 +1,17 @@
-"""Loop-sample extraction: program -> profiled PEG -> per-loop LoopSamples.
+"""Loop-sample extraction: the one sub-PEG featurizer (Fig. 2).
 
-One extraction pass per program variant runs the full Fig. 2 pipeline:
-lower, verify, profile, build the PEG, attach dynamic features, embed nodes
-(inst2vec + Table I features; anonymous-walk distributions), and emit one
-:class:`LoopSample` per labeled For loop.
+One pass per program variant lowers, verifies and profiles it and builds
+the PEG with its dynamic features (:func:`labeled_loops`), turns each
+labeled loop's sub-PEG into arrays (:func:`subpeg_adjacency`,
+:func:`semantic_matrix`, anonymous-walk distributions,
+:func:`subpeg_statements`) and emits one :class:`LoopSample` per labeled
+For loop (:func:`loop_sample`).  :func:`repro.train.data.cached_loop_samples`
+runs the same steps with both feature matrices from the runtime's cache.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,12 +24,65 @@ from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
-from repro.peg.builder import build_peg, loop_node_id
-from repro.peg.graph import PEG, EdgeKind
+from repro.peg.builder import build_peg
+from repro.peg.graph import PEG
 from repro.peg.subgraph import all_loop_subpegs
 from repro.profiler.interpreter import profile_program
 from repro.profiler.report import ProfileReport
 from repro.utils.rng import RngLike, ensure_rng
+
+
+class LabeledLoop(NamedTuple):
+    """One labeled loop of a profiled program."""
+
+    loop_id: str
+    label: int
+    subpeg: PEG
+    features: LoopFeatures
+
+
+def labeled_loops(
+    program: Program,
+    labels: Optional[Mapping[str, int]],
+    variant: str = "O0",
+    ir_program: Optional[IRProgram] = None,
+) -> Tuple[IRProgram, ProfileReport, List[LabeledLoop]]:
+    """The IR, its profile and one :class:`LabeledLoop` per ``labels`` entry.
+
+    ``labels`` maps loop_id -> 0/1; when None, every executed For loop is
+    labeled by the dynamic oracle (the transformed-dataset path: "we
+    classify it using tools like DiscoPoP and Pluto", Section IV-A).
+    ``ir_program`` lets callers supply a pre-transformed IR variant (the
+    six pipelines); by default the program is lowered fresh.
+    """
+    if ir_program is None:
+        ir_program = lower_program(program)
+        verify_program(ir_program)
+    report = profile_program(ir_program)
+    peg = build_peg(ir_program, report)
+    loop_feats = attach_node_features(peg, ir_program, report)
+
+    if labels is None:
+        from repro.analysis.oracle import classify_all_loops
+
+        labels = {
+            loop_id: int(result.parallel)
+            for loop_id, result in classify_all_loops(ir_program, report).items()
+            if result.executed and ir_program.all_loops()[loop_id].var
+        }
+
+    subpegs = all_loop_subpegs(peg)
+    loops: List[LabeledLoop] = []
+    for loop_id, label in labels.items():
+        if loop_id not in subpegs:
+            raise DatasetError(
+                f"labeled loop {loop_id!r} not found in program "
+                f"{program.name!r} (variant {variant})"
+            )
+        loops.append(
+            LabeledLoop(loop_id, int(label), subpegs[loop_id], loop_feats[loop_id])
+        )
+    return ir_program, report, loops
 
 
 def extract_loop_samples(
@@ -45,64 +101,33 @@ def extract_loop_samples(
 ) -> List[LoopSample]:
     """Extract one sample per labeled loop of ``program``.
 
-    ``labels`` maps loop_id -> 0/1; loops missing from it are skipped.  When
-    ``labels`` is None, every executed For loop is labeled by the dynamic
-    oracle (the transformed-dataset path: "we classify it using tools like
-    DiscoPoP and Pluto", Section IV-A).
-    ``ir_program`` lets callers supply a pre-transformed IR variant (the six
-    pipelines); by default the program is lowered fresh.
-    ``static_only`` zeroes the dynamic feature columns (the Static-GNN
-    baseline's world view).
+    ``labels``, ``variant`` and ``ir_program`` are as in
+    :func:`labeled_loops`.  Walks come from the one generator ``rng``,
+    threaded through the loops in ``labels`` order.  ``static_only`` zeroes
+    the dynamic feature columns (the Static-GNN baseline's world view).
     """
     rng = ensure_rng(rng)
-    if ir_program is None:
-        ir_program = lower_program(program)
-        verify_program(ir_program)
-    report = profile_program(ir_program)
-    peg = build_peg(ir_program, report)
-    loop_feats = attach_node_features(peg, ir_program, report)
-
-    if labels is None:
-        from repro.analysis.oracle import classify_all_loops
-
-        labels = {
-            loop_id: int(result.parallel)
-            for loop_id, result in classify_all_loops(ir_program, report).items()
-            if result.executed and ir_program.all_loops()[loop_id].var
-        }
-
+    ir_program, report, loops = labeled_loops(
+        program, labels, variant, ir_program
+    )
     # tool baselines vote once per program; votes ride along on each sample
     tool_votes = _tool_votes(program, ir_program, report)
 
-    subpegs = all_loop_subpegs(peg)
     samples: List[LoopSample] = []
-    for loop_id, label in labels.items():
-        if loop_id not in subpegs:
-            raise DatasetError(
-                f"labeled loop {loop_id!r} not found in program "
-                f"{program.name!r} (variant {variant})"
-            )
-        sample = _sample_from_subpeg(
-            subpegs[loop_id],
-            loop_id=loop_id,
-            label=int(label),
-            program=program,
-            feats=loop_feats[loop_id],
-            inst2vec=inst2vec,
-            walk_space=walk_space,
-            suite=suite,
-            app=app,
-            gamma=gamma,
-            variant=variant,
-            static_only=static_only,
-            rng=rng,
+    for loop in loops:
+        _ids, x_structural = structural_node_features(
+            loop.subpeg, walk_space, gamma=gamma, rng=rng
         )
-        sample.tool_votes = {
-            tool: votes.get(loop_id, 0) for tool, votes in tool_votes.items()
-        }
-        if meta:
-            sample.meta.update(meta)
-        samples.append(sample)
+        samples.append(loop_sample(
+            program, variant, suite, app, loop,
+            semantic_matrix(loop.subpeg, inst2vec, static_only),
+            x_structural,
+            tool_votes={
+                tool: votes.get(loop.loop_id, 0)
+                for tool, votes in tool_votes.items()
+            },
+            meta=meta,
+        ))
     return samples
 
 
@@ -119,72 +144,78 @@ def _tool_votes(
     return votes
 
 
-def _sample_from_subpeg(
-    subpeg: PEG,
-    loop_id: str,
-    label: int,
-    program: Program,
-    feats: LoopFeatures,
-    inst2vec: Inst2Vec,
-    walk_space: AnonymousWalkSpace,
-    suite: str,
-    app: str,
-    gamma: int,
-    variant: str,
-    static_only: bool,
-    rng: np.random.Generator,
-) -> LoopSample:
+def subpeg_adjacency(subpeg: PEG) -> np.ndarray:
+    """Undirected ``(n, n)`` 0/1 adjacency in ``subpeg.nodes`` order.
+
+    Self-loops are dropped and every remaining edge (hierarchy or
+    dependence) is symmetrized.
+    """
     node_ids = list(subpeg.nodes)
     index = {nid: pos for pos, nid in enumerate(node_ids)}
-    n = len(node_ids)
-
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((len(node_ids), len(node_ids)))
     for edge in subpeg.edges:
         a, b = index[edge.src], index[edge.dst]
         if a != b:
             adjacency[a, b] = 1.0
             adjacency[b, a] = 1.0
+    return adjacency
 
-    # semantic features: inst2vec mean + dynamic feature columns
+
+def semantic_matrix(
+    subpeg: PEG, inst2vec: Inst2Vec, static_only: bool = False
+) -> np.ndarray:
+    """``(n, inst2vec.dim + len(FEATURE_NAMES))`` node-view features.
+
+    Row order follows ``subpeg.nodes``; columns are the inst2vec mean of
+    each node's statements followed by the Table I dynamic feature columns
+    (zeroed when ``static_only``).
+    """
     n_dyn = len(FEATURE_NAMES)
-    x_semantic = np.zeros((n, inst2vec.dim + n_dyn))
-    for pos, nid in enumerate(node_ids):
-        node = subpeg.nodes[nid]
-        x_semantic[pos, : inst2vec.dim] = inst2vec.embed_sequence(node.statements)
+    out = np.zeros((len(subpeg.nodes), inst2vec.dim + n_dyn))
+    for pos, node in enumerate(subpeg.nodes.values()):
+        out[pos, : inst2vec.dim] = inst2vec.embed_sequence(node.statements)
         if not static_only:
-            x_semantic[pos, inst2vec.dim :] = [
+            out[pos, inst2vec.dim :] = [
                 node.features.get(name, 0.0) for name in FEATURE_NAMES
             ]
+    return out
 
-    walk_ids, x_structural = structural_node_features(
-        subpeg, walk_space, gamma=gamma, rng=rng
-    )
-    if walk_ids != node_ids:  # structural features are ordered by peg.nodes
-        remap = [walk_ids.index(nid) for nid in node_ids]
-        x_structural = x_structural[remap]
 
-    # flat statement sequence in source-line order (NCC input)
+def subpeg_statements(subpeg: PEG) -> List[str]:
+    """The flat statement sequence in source-line order (the NCC input)."""
     ordered = sorted(
-        (subpeg.nodes[nid] for nid in node_ids),
-        key=lambda node: (node.start_line, node.node_id),
+        subpeg.nodes.values(), key=lambda node: (node.start_line, node.node_id)
     )
-    statements: List[str] = []
-    for node in ordered:
-        statements.extend(node.statements)
+    return [statement for node in ordered for statement in node.statements]
 
+
+def loop_sample(
+    program: Program,
+    variant: str,
+    suite: str,
+    app: str,
+    loop: LabeledLoop,
+    x_semantic: np.ndarray,
+    x_structural: np.ndarray,
+    tool_votes: Optional[Dict[str, int]] = None,
+    meta: Optional[Dict[str, object]] = None,
+) -> LoopSample:
+    """The validated :class:`LoopSample` of one labeled loop, given its two
+    feature matrices; ``meta`` extends ``{"variant": variant}``."""
     sample = LoopSample(
-        sample_id=f"{program.name}/{variant}/{loop_id}",
-        loop_id=loop_id,
+        sample_id=f"{program.name}/{variant}/{loop.loop_id}",
+        loop_id=loop.loop_id,
         program_name=program.name,
         app=app,
         suite=suite,
-        label=label,
-        adjacency=adjacency,
+        label=loop.label,
+        adjacency=subpeg_adjacency(loop.subpeg),
         x_semantic=x_semantic,
         x_structural=x_structural,
-        statements=statements,
-        loop_features=feats.as_array(),
-        meta={"variant": variant},
+        statements=subpeg_statements(loop.subpeg),
+        loop_features=loop.features.as_array(),
+        tool_votes=dict(tool_votes or {}),
+        meta={"variant": variant, **(meta or {})},
     )
     sample.validate()
     return sample

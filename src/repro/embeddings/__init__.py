@@ -7,8 +7,6 @@ from repro.embeddings.anonwalk import (
     anonymize_walk,
     enumerate_anonymous_walks,
     AnonymousWalkSpace,
-    node_walk_distribution,
-    graph_walk_distribution,
     structural_node_features,
 )
 
@@ -16,6 +14,5 @@ __all__ = [
     "Vocabulary", "build_vocabulary",
     "Inst2Vec", "build_statement_corpus",
     "anonymize_walk", "enumerate_anonymous_walks", "AnonymousWalkSpace",
-    "node_walk_distribution", "graph_walk_distribution",
     "structural_node_features",
 ]

@@ -17,7 +17,7 @@ vector without a blow-up of the type space.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,33 +93,6 @@ class AnonymousWalkSpace:
         return type_id
 
 
-def node_walk_distribution(
-    peg: PEG,
-    node_id: str,
-    space: AnonymousWalkSpace,
-    gamma: int = 30,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Empirical anonymous-walk distribution p̂(ω | v) of one node (Eq. 3).
-
-    Shape contract: returns a ``(space.num_types,)`` probability vector
-    (non-negative, sums to 1) over the anonymous walk types of
-    ``space.length`` edges.  The result is deterministic in ``(peg
-    topology, node_id, space.length, gamma, rng state)``; pass a freshly
-    seeded generator to make it a pure function of the seed — the property
-    :class:`repro.runtime.FeatureCache` relies on to memoize per-node
-    distributions by content hash.  For all nodes of a graph at once use
-    :func:`structural_node_features`, which returns the stacked
-    ``(n_nodes, space.num_types)`` matrix in ``peg.nodes`` order.
-    """
-    if node_id not in peg.nodes:
-        raise EmbeddingError(f"node {node_id!r} not in graph")
-    node_ids = list(peg.nodes)
-    rng = ensure_rng(rng)
-    start = np.array([node_ids.index(node_id)])
-    return _walk_distributions(peg, node_ids, start, space, gamma, rng)[0]
-
-
 def structural_node_features(
     peg: PEG,
     space: AnonymousWalkSpace,
@@ -128,8 +101,13 @@ def structural_node_features(
 ) -> Tuple[List[str], np.ndarray]:
     """Walk distributions for every node: (node ids, (n, num_types) matrix).
 
-    This is the structural-view input; the model projects it through a
-    learned walk-type embedding table (the paper's 400-unit layer).
+    Row ``i`` is p̂(ω | v) of node ``node ids[i]`` (Eq. 3), in ``peg.nodes``
+    order; the row mean is the graph-level p̂(ω | G) (Eq. 4).  The result is
+    deterministic in ``(topology, space.length, gamma, rng state)``, so a
+    freshly seeded generator makes it a pure function of the seed — what
+    :class:`repro.runtime.FeatureCache` relies on.  This is the
+    structural-view input; the model projects it through a learned
+    walk-type embedding table (the paper's 400-unit layer).
     """
     rng = ensure_rng(rng)
     node_ids = list(peg.nodes)
@@ -233,15 +211,3 @@ def _walk_distributions(
     counts = np.bincount(keys, minlength=starts.size * num_types)
     return counts.reshape(starts.size, num_types) / gamma
 
-
-def graph_walk_distribution(
-    peg: PEG,
-    space: AnonymousWalkSpace,
-    gamma: int = 30,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Graph-level mean anonymous-walk distribution p̂(ω | G) (Eq. 4)."""
-    _ids, features = structural_node_features(peg, space, gamma, rng)
-    if features.shape[0] == 0:
-        return np.zeros(space.num_types)
-    return features.mean(axis=0)

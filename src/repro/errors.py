@@ -52,7 +52,7 @@ class ConfigError(ReproError):
 
 
 class EngineError(ReproError):
-    """Batched inference runtime failure (bad input kind, missing extractor)."""
+    """Batched inference runtime failure (bad input kind, bad batch size)."""
 
 
 class AdvisorError(ReproError):

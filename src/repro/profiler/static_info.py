@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.linear import IRFunction, Opcode
+from repro.ir.linear import IRFunction, IRProgram, Opcode
 
 
 def cfg_edges(fn: IRFunction) -> List[Tuple[str, str]]:
@@ -74,6 +74,15 @@ def loop_block_sets(fn: IRFunction) -> Dict[str, Set[str]]:
             for succ in succs.get(label, ()):
                 stack.append(succ)
         out[info.loop_id] = seen
+    return out
+
+
+def program_block_sets(program: IRProgram) -> Dict[str, Set[str]]:
+    """:func:`loop_block_sets` of every function of ``program``, merged
+    (loop ids are unique in a program, as in ``IRProgram.all_loops``)."""
+    out: Dict[str, Set[str]] = {}
+    for fn in program.functions.values():
+        out.update(loop_block_sets(fn))
     return out
 
 

@@ -13,11 +13,7 @@ interpreter that is byte-identical to the interpreted path.  See
 
 from repro.runtime.batch import GraphBatch, iter_chunks
 from repro.runtime.engine import Engine, EngineStats, GraphInput
-from repro.runtime.features import (
-    FeatureCache,
-    embedder_fingerprint,
-    subpeg_adjacency,
-)
+from repro.runtime.features import FeatureCache, embedder_fingerprint
 from repro.runtime.qtape import (
     QuantizedTape,
     quantize_tape,
@@ -49,7 +45,6 @@ __all__ = [
     "quantize_tape",
     "record_activation_maxima",
     "record_tape",
-    "subpeg_adjacency",
     "trace_dgcnn_forward",
     "trace_mvgnn_forward",
 ]

@@ -1,11 +1,11 @@
 """The batched loop-classification engine.
 
 :class:`Engine` is the throughput-oriented front door to the MV-GNN: callers
-hand it many loops at once — precomputed :class:`~repro.dataset.types.LoopSample`
-feature sets or raw sub-PEGs — and it answers with one label per loop,
-amortizing the forward pass across :class:`~repro.runtime.batch.GraphBatch`
-packs and memoizing feature extraction in a
-:class:`~repro.runtime.features.FeatureCache`.
+hand it many already featurized loops at once — each a
+:class:`~repro.dataset.types.LoopSample` or a :class:`GraphInput` — and it
+answers with one label per loop, amortizing the forward pass across
+:class:`~repro.runtime.batch.GraphBatch` packs.  It never extracts
+features: a sub-PEG becomes arrays in :mod:`repro.dataset.extraction`.
 
 Forward tapes are traced with the model in eval mode (dropout off) and
 never read its train/eval flag again, so serving a batch leaves the model's
@@ -26,15 +26,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dataset.types import LoopSample
-from repro.embeddings.anonwalk import AnonymousWalkSpace
-from repro.embeddings.inst2vec import Inst2Vec
 from repro.errors import EngineError
 from repro.models.mvgnn import MVGNN
 from repro.nn.quantize import PRECISIONS, Calibration, symmetric_scale
 from repro.nn.tensor import no_grad
-from repro.peg.graph import PEG
 from repro.runtime.batch import GraphBatch, iter_chunks
-from repro.runtime.features import FeatureCache, subpeg_adjacency
+from repro.runtime.features import FeatureCache
 from repro.runtime.qtape import (
     calibration_from_maxima,
     quantize_tape,
@@ -59,7 +56,7 @@ class GraphInput:
     graph_id: str = ""
 
 
-LoopInput = Union[LoopSample, PEG, GraphInput]
+LoopInput = Union[LoopSample, GraphInput]
 
 
 @dataclass
@@ -69,8 +66,6 @@ class EngineStats:
     graphs: int = 0
     batches: int = 0
     seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     compiled_batches: int = 0
     fast_batches: int = 0
 
@@ -82,30 +77,23 @@ class EngineStats:
         return (
             f"{self.graphs} graphs in {self.batches} batches "
             f"({self.compiled_batches} tape-compiled), "
-            f"{self.seconds:.3f}s ({self.graphs_per_sec:.1f} graphs/sec), "
-            f"feature cache {self.cache_hits} hits / "
-            f"{self.cache_misses} misses"
+            f"{self.seconds:.3f}s ({self.graphs_per_sec:.1f} graphs/sec)"
         )
 
 
 class Engine:
-    """Batched MV-GNN inference over many loop sub-PEGs.
+    """Batched MV-GNN inference over many featurized loop sub-PEGs.
 
     Parameters
     ----------
     model:
         A (typically trained) :class:`~repro.models.mvgnn.MVGNN`.
-    inst2vec, walk_space:
-        Feature extractors, required only when ``predict_many`` receives raw
-        sub-PEGs rather than LoopSamples.
     cache:
-        Feature cache for sub-PEG inputs; a fresh :class:`FeatureCache` over
-        the default DiskCache when omitted.
+        Holds the memoized normalized adjacency blocks
+        (:meth:`FeatureCache.normalized_block`); a fresh
+        :class:`FeatureCache` over the default DiskCache when omitted.
     batch_size:
         Default number of graphs packed per forward pass.
-    gamma, walk_seed:
-        Anonymous-walk sampling configuration for sub-PEG inputs (must match
-        the training-time extraction for meaningful predictions).
     compile:
         When True (the default), the batched forward is trace-compiled into
         a :class:`~repro.runtime.tape.Tape` per batch-shape class and
@@ -133,12 +121,8 @@ class Engine:
     def __init__(
         self,
         model: MVGNN,
-        inst2vec: Optional[Inst2Vec] = None,
-        walk_space: Optional[AnonymousWalkSpace] = None,
         cache: Optional[FeatureCache] = None,
         batch_size: int = 32,
-        gamma: int = 30,
-        walk_seed: int = 0,
         compile: bool = True,
         precision: str = "exact",
         calibration: Optional[Calibration] = None,
@@ -150,12 +134,8 @@ class Engine:
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
         self.model = model
-        self.inst2vec = inst2vec
-        self.walk_space = walk_space
         self.cache = cache if cache is not None else FeatureCache()
         self.batch_size = batch_size
-        self.gamma = gamma
-        self.walk_seed = walk_seed
         self.compile = bool(compile)
         self.precision = precision
         self.calibration = calibration
@@ -190,20 +170,9 @@ class Engine:
                 loop.x_semantic, loop.x_structural, loop.adjacency,
                 loop.graph_id or f"graph-{pos}",
             )
-        if isinstance(loop, PEG):
-            if self.inst2vec is None or self.walk_space is None:
-                raise EngineError(
-                    "Engine needs inst2vec and walk_space to classify raw "
-                    "sub-PEGs; construct it with both, or pass LoopSamples"
-                )
-            semantic = self.cache.semantic_features(loop, self.inst2vec)
-            structural = self.cache.structural_features(
-                loop, self.walk_space, gamma=self.gamma, seed=self.walk_seed
-            )
-            return semantic, structural, subpeg_adjacency(loop), loop.name
         raise EngineError(
             f"unsupported loop input #{pos}: {type(loop).__name__} "
-            "(expected LoopSample, PEG, or GraphInput)"
+            "(expected LoopSample or GraphInput)"
         )
 
     def _batch_for(self, loops: Sequence[LoopInput], start: int) -> GraphBatch:
@@ -279,12 +248,6 @@ class Engine:
                 self.stats.fast_batches += compiled
             self.stats.graphs += len(loops)
             self.stats.seconds += elapsed
-            # Concurrent callers' cache hits/misses cannot be attributed
-            # per-call, so the engine mirrors the cache's own cumulative
-            # counters rather than diffing snapshots around the call.
-            self.stats.cache_hits, self.stats.cache_misses = (
-                self.cache.snapshot()
-            )
         return np.concatenate(rows, axis=0)
 
     def _forward_interpreted(self, batch: GraphBatch) -> np.ndarray:
@@ -504,9 +467,8 @@ class Engine:
     ) -> np.ndarray:
         """Predicted labels for many loops: ``(len(loops),)`` int64.
 
-        Accepts :class:`LoopSample` objects (precomputed features) and/or
-        raw loop sub-PEGs (features extracted through the cache); the two
-        kinds may be mixed in one call.  Identical to running
+        Accepts :class:`LoopSample` and :class:`GraphInput` objects; the
+        two kinds may be mixed in one call.  Identical to running
         ``argmax(model.forward(...))`` per loop, but packs ``batch_size``
         graphs per numpy-level pass.  ``precision`` overrides the engine's
         default execution tier for this call.

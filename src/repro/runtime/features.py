@@ -21,34 +21,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.features import FEATURE_NAMES
+from repro.dataset.extraction import semantic_matrix
 from repro.embeddings.anonwalk import AnonymousWalkSpace, structural_node_features
 from repro.embeddings.inst2vec import Inst2Vec
 from repro.nn.layers import normalized_adjacency
 from repro.peg.graph import PEG
 from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng
-
-
-def subpeg_adjacency(subpeg: PEG) -> np.ndarray:
-    """Undirected ``(n, n)`` 0/1 adjacency in ``subpeg.nodes`` order.
-
-    Mirrors dataset extraction: self-loops dropped, every remaining edge
-    (hierarchy or dependence) symmetrized.
-    """
-    node_ids = list(subpeg.nodes)
-    index = {nid: pos for pos, nid in enumerate(node_ids)}
-    adjacency = np.zeros((len(node_ids), len(node_ids)))
-    for edge in subpeg.edges:
-        a, b = index[edge.src], index[edge.dst]
-        if a != b:
-            adjacency[a, b] = 1.0
-            adjacency[b, a] = 1.0
-    return adjacency
 
 
 def embedder_fingerprint(inst2vec: Inst2Vec) -> str:
@@ -121,12 +104,8 @@ class FeatureCache:
         inst2vec: Inst2Vec,
         static_only: bool = False,
     ) -> np.ndarray:
-        """``(n, inst2vec.dim + len(FEATURE_NAMES))`` node-view features.
-
-        Row order follows ``subpeg.nodes``; columns are the inst2vec mean of
-        each node's statements followed by the Table I dynamic feature
-        columns (zeroed when ``static_only``).
-        """
+        """:func:`repro.dataset.extraction.semantic_matrix` of ``subpeg``,
+        memoized by node content and embedder."""
         payload = {
             "kind": "semantic",
             "nodes": [
@@ -142,22 +121,8 @@ class FeatureCache:
         }
         key = f"rtfeat-sem-{stable_hash(payload)}"
         return self._get_or_compute(
-            key, lambda: self._compute_semantic(subpeg, inst2vec, static_only)
+            key, lambda: semantic_matrix(subpeg, inst2vec, static_only)
         )
-
-    @staticmethod
-    def _compute_semantic(
-        subpeg: PEG, inst2vec: Inst2Vec, static_only: bool
-    ) -> np.ndarray:
-        n_dyn = len(FEATURE_NAMES)
-        out = np.zeros((len(subpeg.nodes), inst2vec.dim + n_dyn))
-        for pos, node in enumerate(subpeg.nodes.values()):
-            out[pos, : inst2vec.dim] = inst2vec.embed_sequence(node.statements)
-            if not static_only:
-                out[pos, inst2vec.dim :] = [
-                    node.features.get(name, 0.0) for name in FEATURE_NAMES
-                ]
-        return out
 
     # -- structural view -----------------------------------------------------
 

@@ -483,8 +483,6 @@ def bind_engine_stats(registry: MetricsRegistry, engine) -> None:
         ("graphs", "Graphs classified by the engine since startup"),
         ("batches", "Forward-pass batches executed by the engine"),
         ("seconds", "Cumulative engine wall time in predict/logits calls"),
-        ("cache_hits", "Feature-cache hits"),
-        ("cache_misses", "Feature-cache misses"),
     ):
         registry.gauge(
             f"engine_{attr}", help_text,

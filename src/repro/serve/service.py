@@ -102,7 +102,7 @@ class InferenceService:
     engine:
         The (thread-safe) batched inference engine.  With one slot its
         ``predict_many`` serves every batch; with more, its model and
-        extractor configuration are shipped to every worker
+        execution settings are shipped to every worker
         (:class:`~repro.serve.supervisor.WorkerPayload`), and its model
         remains the master copy that :meth:`reload` pushes back out.
     config:

@@ -59,15 +59,11 @@ class WorkerPayload:
     Deliberately *not* an Engine: the engine holds locks and a live
     FeatureCache, neither of which should cross a process boundary.  Every
     worker builds a fresh engine (fresh per-shard cache) from the shared
-    model + extractors.
+    model.
     """
 
     model: Any
-    inst2vec: Any = None
-    walk_space: Any = None
     batch_size: int = 32
-    gamma: int = 30
-    walk_seed: int = 0
     compile: bool = True
     precision: str = "exact"
     calibration: Any = None  # Optional[repro.nn.quantize.Calibration]
@@ -76,11 +72,7 @@ class WorkerPayload:
     def from_engine(cls, engine) -> "WorkerPayload":
         return cls(
             model=engine.model,
-            inst2vec=engine.inst2vec,
-            walk_space=engine.walk_space,
             batch_size=engine.batch_size,
-            gamma=engine.gamma,
-            walk_seed=engine.walk_seed,
             compile=getattr(engine, "compile", True),
             precision=getattr(engine, "precision", "exact"),
             calibration=getattr(engine, "calibration", None),
@@ -91,11 +83,7 @@ class WorkerPayload:
 
         return Engine(
             self.model,
-            inst2vec=self.inst2vec,
-            walk_space=self.walk_space,
             batch_size=self.batch_size,
-            gamma=self.gamma,
-            walk_seed=self.walk_seed,
             compile=self.compile,
             precision=self.precision,
             calibration=self.calibration,
@@ -204,8 +192,6 @@ def worker_main(conn, slot: int, generation: int, payload: WorkerPayload) -> Non
                     "graphs": stats.graphs,
                     "batches": stats.batches,
                     "seconds": stats.seconds,
-                    "cache_hits": stats.cache_hits,
-                    "cache_misses": stats.cache_misses,
                 })
             else:  # shutdown
                 reply = wire.make_frame(wire.IPC_OK, req_id, None)

@@ -23,14 +23,14 @@ its sub-100% Table III accuracy:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.oracle import classify_loop
 from repro.ir import ast_nodes as ast
 from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram, Opcode
 from repro.profiler.report import ProfileReport
-from repro.profiler.static_info import loop_block_sets
+from repro.profiler.static_info import program_block_sets
 from repro.tools.base import ParallelismTool, ToolPrediction
 from repro.errors import ToolError
 
@@ -53,7 +53,8 @@ class DiscoPoPClassifier(ParallelismTool):
         if report is None:
             raise ToolError("DiscoPoP requires a dynamic profile report")
         out: Dict[str, ToolPrediction] = {}
-        loops_with_calls = self._loops_containing_calls(ir_program)
+        block_sets = program_block_sets(ir_program)  # once per function
+        loops_with_calls = self._loops_containing_calls(ir_program, block_sets)
         for loop_id, info in ir_program.all_loops().items():
             if not info.var:
                 continue  # while loops are not For-loop candidates
@@ -82,7 +83,7 @@ class DiscoPoPClassifier(ParallelismTool):
             # learned models can exploit, as the paper's Table III does
             oracle = classify_loop(
                 ir_program, filtered, loop_id,
-                allowed_reduction_ops={"+", "*"},
+                allowed_reduction_ops={"+", "*"}, block_sets=block_sets,
             )
             out[loop_id] = ToolPrediction(
                 loop_id, oracle.parallel, list(oracle.blockers)
@@ -109,13 +110,14 @@ class DiscoPoPClassifier(ParallelismTool):
         return filtered
 
     @staticmethod
-    def _loops_containing_calls(ir_program: IRProgram) -> set:
+    def _loops_containing_calls(
+        ir_program: IRProgram, block_sets: Dict[str, Set[str]]
+    ) -> set:
         loops = set()
         for fn in ir_program.functions.values():
-            block_sets = loop_block_sets(fn)
             blocks = {b.label: b for b in fn.blocks}
-            for loop_id, labels in block_sets.items():
-                for label in labels:
+            for loop_id in fn.loops:
+                for label in block_sets[loop_id]:
                     if any(
                         instr.opcode is Opcode.CALLFN
                         for instr in blocks[label].instrs

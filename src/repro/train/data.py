@@ -4,18 +4,18 @@
 anonymous-walk distributions on every call — right for one-shot dataset
 builds, wasteful for iterative training workflows (the CLI ``train``
 command, hyper-parameter sweeps) that re-extract the same programs run
-after run.  :func:`cached_loop_samples` assembles the same
-:class:`~repro.dataset.types.LoopSample` objects with the two feature
-matrices pulled through :class:`repro.runtime.features.FeatureCache`, so
-extraction is paid once per loop *content* — and, because the cache is
-disk-backed, once across processes: a second ``train`` run over the same
-app skips straight to model math.
+after run.  :func:`cached_loop_samples` runs the same featurizer
+(:mod:`repro.dataset.extraction`) with the two feature matrices pulled
+through :class:`repro.runtime.features.FeatureCache`, so extraction is
+paid once per loop *content* — and, because the cache is disk-backed, once
+across processes: a second ``train`` run over the same app skips straight
+to model math.
 
-One semantic difference from dataset extraction: walk sampling derives
-from the cache's fixed per-call seed (``walk_seed``) rather than a single
-generator threaded through all loops — the determinism property that makes
-the structural view cacheable at all (see
-:mod:`repro.runtime.features`).  Both schemes draw from the same walk
+Two differences from dataset extraction: the tool baselines do not run,
+and walk sampling derives from the cache's fixed per-call seed
+(``walk_seed``) rather than a single generator threaded through all loops —
+the determinism property that makes the structural view cacheable at all
+(see :mod:`repro.runtime.features`).  Both schemes draw from the same walk
 distribution; they just differ in which concrete walks are sampled.
 """
 
@@ -24,21 +24,13 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.analysis.features import attach_node_features
+from repro.dataset.extraction import labeled_loops, loop_sample
 from repro.dataset.types import LoopSample
 from repro.embeddings.anonwalk import AnonymousWalkSpace
 from repro.embeddings.inst2vec import Inst2Vec
-from repro.errors import DatasetError
 from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram
-from repro.ir.lowering import lower_program
-from repro.ir.verify import verify_program
-from repro.peg.builder import build_peg
-from repro.peg.subgraph import all_loop_subpegs
-from repro.profiler.interpreter import profile_program
-from repro.runtime.features import FeatureCache, subpeg_adjacency
+from repro.runtime.features import FeatureCache
 
 
 def cached_loop_samples(
@@ -56,79 +48,38 @@ def cached_loop_samples(
 ) -> List[LoopSample]:
     """One :class:`LoopSample` per labeled loop, features via ``cache``.
 
-    ``labels`` maps loop_id -> 0/1; when None, every executed For loop is
-    labeled by the dynamic oracle (as in dataset extraction).  Profiling
-    and PEG construction still run per call — they are cheap next to
-    feature extraction and provide the Table I values — but the inst2vec
-    and anonymous-walk matrices come from the content-hash cache.
+    ``labels`` is as in :func:`repro.dataset.extraction.labeled_loops`.
+    Profiling and PEG construction still run per call — they are cheap
+    next to feature extraction and provide the Table I values — but the
+    inst2vec and anonymous-walk matrices come from the content-hash cache.
+    The tool baselines do not run: cached samples carry no tool votes.
     """
-    if ir_program is None:
-        ir_program = lower_program(program)
-        verify_program(ir_program)
-    report = profile_program(ir_program)
-    peg = build_peg(ir_program, report)
-    loop_feats = attach_node_features(peg, ir_program, report)
-
-    if labels is None:
-        from repro.analysis.oracle import classify_all_loops
-
-        labels = {
-            loop_id: int(result.parallel)
-            for loop_id, result in classify_all_loops(ir_program, report).items()
-            if result.executed and ir_program.all_loops()[loop_id].var
-        }
-
-    subpegs = all_loop_subpegs(peg)
-    samples: List[LoopSample] = []
-    for loop_id, label in labels.items():
-        if loop_id not in subpegs:
-            raise DatasetError(
-                f"labeled loop {loop_id!r} not found in program "
-                f"{program.name!r} (variant {variant})"
-            )
-        subpeg = subpegs[loop_id]
-        x_semantic = cache.semantic_features(subpeg, inst2vec)
-        x_structural = cache.structural_features(
-            subpeg, walk_space, gamma=gamma, seed=walk_seed
+    _ir, _report, loops = labeled_loops(program, labels, variant, ir_program)
+    return [
+        loop_sample(
+            program, variant, suite, app, loop,
+            cache.semantic_features(loop.subpeg, inst2vec),
+            cache.structural_features(
+                loop.subpeg, walk_space, gamma=gamma, seed=walk_seed
+            ),
+            meta={"features": "cached"},
         )
-        node_ids = list(subpeg.nodes)
-        ordered = sorted(
-            (subpeg.nodes[nid] for nid in node_ids),
-            key=lambda node: (node.start_line, node.node_id),
-        )
-        statements: List[str] = []
-        for node in ordered:
-            statements.extend(node.statements)
-        feats = loop_feats[loop_id]
-        sample = LoopSample(
-            sample_id=f"{program.name}/{variant}/{loop_id}",
-            loop_id=loop_id,
-            program_name=program.name,
-            app=app,
-            suite=suite,
-            label=int(label),
-            adjacency=subpeg_adjacency(subpeg),
-            x_semantic=np.asarray(x_semantic),
-            x_structural=np.asarray(x_structural),
-            statements=statements,
-            loop_features=feats.as_array(),
-            meta={"variant": variant, "features": "cached"},
-        )
-        sample.validate()
-        samples.append(sample)
-    return samples
+        for loop in loops
+    ]
 
 
 def _cached_samples_job(payload) -> Tuple[List[LoopSample], int, int]:
     """Worker body for :func:`cached_samples_for_programs`.
 
-    Rebuilds a :class:`FeatureCache` over the shared on-disk directory, so
-    workers cooperate through the disk (atomic writes make concurrent
-    misses safe — last writer wins with identical content) and returns its
-    local hit/miss counters for aggregation.
+    Rebuilds a :class:`FeatureCache` over the shared on-disk directory
+    (the payload ships the picklable ``DiskCache``, not the lock-holding
+    ``FeatureCache``), so workers cooperate through the disk (atomic
+    writes make concurrent misses safe — last writer wins with identical
+    content) and returns its local hit/miss counters for aggregation.
     """
-    (program, labels, inst2vec, walk_space, cache, suite, app, gamma,
+    (program, labels, inst2vec, walk_space, disk, suite, app, gamma,
      walk_seed) = payload
+    cache = FeatureCache(disk)
     samples = cached_loop_samples(
         program, labels, inst2vec, walk_space, cache,
         suite=suite, app=app, gamma=gamma, walk_seed=walk_seed,
@@ -170,8 +121,8 @@ def cached_samples_for_programs(
         return samples, hits, misses
 
     payloads = [
-        (program, labels, inst2vec, walk_space, cache, suite, app, gamma,
-         walk_seed)
+        (program, labels, inst2vec, walk_space, cache.disk, suite, app,
+         gamma, walk_seed)
         for program, labels in items
     ]
     samples = []

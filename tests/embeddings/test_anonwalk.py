@@ -8,8 +8,6 @@ from repro.embeddings.anonwalk import (
     AnonymousWalkSpace,
     anonymize_walk,
     enumerate_anonymous_walks,
-    graph_walk_distribution,
-    node_walk_distribution,
     structural_node_features,
 )
 from repro.errors import EmbeddingError
@@ -83,27 +81,27 @@ class TestWalkSpace:
         assert 0 <= type_id < space.num_types
 
 
+def _node_row(peg, node_id, space, gamma, rng):
+    """p̂(ω | v) of one node: its row of the structural features."""
+    node_ids, features = structural_node_features(peg, space, gamma, rng)
+    return features[node_ids.index(node_id)]
+
+
 class TestDistributions:
     def test_distribution_sums_to_one(self, rng):
         peg = _chain_peg()
         space = AnonymousWalkSpace(4)
-        dist = node_walk_distribution(peg, "n2", space, gamma=50, rng=rng)
+        dist = _node_row(peg, "n2", space, gamma=50, rng=rng)
         assert dist.shape == (space.num_types,)
         np.testing.assert_allclose(dist.sum(), 1.0)
-
-    def test_unknown_node_rejected(self, rng):
-        peg = _chain_peg()
-        space = AnonymousWalkSpace(3)
-        with pytest.raises(EmbeddingError):
-            node_walk_distribution(peg, "ghost", space, rng=rng)
 
     def test_chain_end_vs_star_hub_differ(self, rng):
         """Structurally distinct neighborhoods give distinct distributions."""
         space = AnonymousWalkSpace(4)
-        chain_dist = node_walk_distribution(
+        chain_dist = _node_row(
             _chain_peg(), "n0", space, gamma=200, rng=np.random.default_rng(0)
         )
-        star_dist = node_walk_distribution(
+        star_dist = _node_row(
             _star_peg(), "hub", space, gamma=200, rng=np.random.default_rng(0)
         )
         assert np.abs(chain_dist - star_dist).sum() > 0.3
@@ -118,16 +116,18 @@ class TestDistributions:
     def test_graph_distribution_is_node_mean(self):
         peg = _star_peg()
         space = AnonymousWalkSpace(3)
-        dist = graph_walk_distribution(
+        _ids, features = structural_node_features(
             peg, space, gamma=30, rng=np.random.default_rng(3)
         )
+        dist = features.mean(axis=0)
+        assert dist.shape == (space.num_types,)
         np.testing.assert_allclose(dist.sum(), 1.0)
 
     def test_determinism_with_seed(self):
         peg = _chain_peg()
         space = AnonymousWalkSpace(4)
-        d1 = node_walk_distribution(peg, "n1", space, gamma=25, rng=9)
-        d2 = node_walk_distribution(peg, "n1", space, gamma=25, rng=9)
+        d1 = _node_row(peg, "n1", space, gamma=25, rng=9)
+        d2 = _node_row(peg, "n1", space, gamma=25, rng=9)
         np.testing.assert_array_equal(d1, d2)
 
 

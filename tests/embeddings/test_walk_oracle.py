@@ -12,15 +12,9 @@ generator in the same state.
 from typing import Dict, List
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.embeddings.anonwalk import (
-    AnonymousWalkSpace,
-    node_walk_distribution,
-    structural_node_features,
-)
-from repro.errors import EmbeddingError
+from repro.embeddings.anonwalk import AnonymousWalkSpace, structural_node_features
 from repro.peg.graph import EdgeKind, NodeKind, PEG, PEGNode
 
 
@@ -104,15 +98,20 @@ def test_features_equal_the_scalar_sampler(peg, length, gamma, seed):
 @given(peg=graphs().filter(lambda g: len(g) > 0), gamma=st.integers(1, 31),
        seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 6))
 def test_one_node_equals_the_scalar_sampler(peg, gamma, seed, pick):
+    """Row ``k`` is the scalar sampler's distribution of node ``k`` from
+    the ``k``-th ``(gamma, length)`` slice of the stream."""
     space = AnonymousWalkSpace(4)
-    node_id = list(peg.nodes)[pick % len(peg)]
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = node_walk_distribution(peg, node_id, space, gamma, got_rng)
+    pos = pick % len(peg)
+    node_id = list(peg.nodes)[pos]
+    _ids, got = structural_node_features(
+        peg, space, gamma, np.random.default_rng(seed)
+    )
+    want_rng = np.random.default_rng(seed)
+    want_rng.random((pos, gamma, space.length))  # the earlier rows' draws
     want = _reference_node_distribution(
         _reference_adjacency(peg), node_id, space, gamma, want_rng
     )
-    assert np.array_equal(bits(got), bits(want))
-    assert got_rng.random() == want_rng.random()
+    assert np.array_equal(bits(got[pos]), bits(want))
 
 
 def test_isolated_nodes_keep_the_padded_type():
@@ -129,11 +128,3 @@ def test_isolated_nodes_keep_the_padded_type():
     # a and b can only oscillate, which is the same type
     assert np.array_equal(features[0], padded)
 
-
-def test_unknown_node_draws_nothing():
-    peg = PEG("g")
-    peg.add_node(PEGNode("a", NodeKind.CU, "main"))
-    rng = np.random.default_rng(5)
-    with pytest.raises(EmbeddingError):
-        node_walk_distribution(peg, "ghost", AnonymousWalkSpace(3), rng=rng)
-    assert rng.random() == np.random.default_rng(5).random()

@@ -1,10 +1,9 @@
 """Batched runtime: GraphBatch packing, batched-vs-per-graph equivalence,
-and Engine.predict_many over LoopSamples and raw sub-PEGs."""
+and Engine.predict_many over LoopSamples (raw sub-PEGs are rejected)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.features import attach_node_features
 from repro.dataset.extraction import extract_loop_samples
 from repro.errors import EngineError
 from repro.models.dgcnn import DGCNN, DGCNNConfig
@@ -15,6 +14,7 @@ from repro.peg.builder import build_peg
 from repro.peg.subgraph import all_loop_subpegs
 from repro.profiler import profile_program
 from repro.runtime import Engine, FeatureCache, GraphBatch, iter_chunks
+from repro.train.data import cached_loop_samples
 from repro.utils.cache import DiskCache
 
 from tests.helpers import build_mixed_program, lower_and_verify
@@ -195,39 +195,50 @@ class TestEngine:
     def test_subpeg_inputs_use_feature_cache(
         self, extracted, tiny_inst2vec, walk_space, tmp_path
     ):
+        """Sub-PEGs reach the engine as LoopSamples featurized through the
+        FeatureCache; re-featurizing hits it, and the engine's normalized
+        adjacency memo skips the repeat graphs."""
         program = build_mixed_program()
-        ir = lower_and_verify(program)
-        report = profile_program(ir)
-        peg = build_peg(ir, report)
-        attach_node_features(peg, ir, report)
-        subpegs = list(all_loop_subpegs(peg).values())
+        cache = FeatureCache(DiskCache(tmp_path))
+
+        def featurize():
+            return cached_loop_samples(
+                program, None, tiny_inst2vec, walk_space, cache,
+                suite="t", app="mixed", gamma=10,
+            )
+
+        first_samples = featurize()
+        assert cache.snapshot() == (0, 2 * len(first_samples))
+        second_samples = featurize()
+        assert cache.snapshot() == (
+            2 * len(first_samples), 2 * len(first_samples)
+        )
 
         model = self._model_for(extracted, walk_space)
-        engine = Engine(
-            model,
-            inst2vec=tiny_inst2vec,
-            walk_space=walk_space,
-            cache=FeatureCache(DiskCache(tmp_path)),
-            gamma=10,
-        )
-        first = engine.predict_many(subpegs)
-        assert engine.stats.cache_misses == 2 * len(subpegs)
-        assert engine.stats.cache_hits == 0
-        second = engine.predict_many(subpegs)
+        engine = Engine(model, cache=cache)
+        first = engine.predict_many(first_samples)
+        hits, misses = cache.adj_hits, cache.adj_misses
+        assert hits + misses == len(first_samples) and misses >= 1
+        second = engine.predict_many(second_samples)
         np.testing.assert_array_equal(first, second)
-        assert engine.stats.cache_hits == 2 * len(subpegs)
+        assert (cache.adj_hits, cache.adj_misses) == (
+            hits + len(second_samples), misses
+        )
 
     def test_subpeg_without_extractors_rejected(
         self, extracted, walk_space, tmp_path
     ):
+        """A raw sub-PEG is not an engine input: featurize it first."""
         program = build_mixed_program()
         ir = lower_and_verify(program)
         peg = build_peg(ir, profile_program(ir))
         subpeg = next(iter(all_loop_subpegs(peg).values()))
         model = self._model_for(extracted, walk_space)
         engine = Engine(model, cache=FeatureCache(DiskCache(tmp_path)))
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="LoopSample or GraphInput"):
             engine.predict_many([subpeg])
+        with pytest.raises(EngineError):
+            engine.predict_many(extracted[:1] + [subpeg])
 
     def test_unsupported_input_rejected(self, extracted, walk_space, tmp_path):
         model = self._model_for(extracted, walk_space)

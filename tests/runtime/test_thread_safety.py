@@ -14,17 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.analysis.features import attach_node_features
 from repro.dataset.extraction import extract_loop_samples
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
-from repro.peg.builder import build_peg
-from repro.peg.subgraph import all_loop_subpegs
-from repro.profiler import profile_program
 from repro.runtime import Engine, FeatureCache, GraphInput
 from repro.utils.cache import DiskCache
 
-from tests.helpers import build_mixed_program, lower_and_verify
+from tests.helpers import build_mixed_program
 
 THREADS = 8
 ROUNDS = 6
@@ -109,17 +105,11 @@ class TestConcurrentPredict:
     def test_concurrent_subpeg_cache_counters_consistent(
         self, tiny_inst2vec, walk_space, tmp_path
     ):
-        """The sub-PEG path (feature extraction through the shared
-        FeatureCache) is exact under concurrency: identical labels and
-        hits + misses == total lookups."""
-        program = build_mixed_program()
-        ir = lower_and_verify(program)
-        report = profile_program(ir)
-        peg = build_peg(ir, report)
-        attach_node_features(peg, ir, report)
-        subpegs = list(all_loop_subpegs(peg).values())
+        """Featurized sub-PEGs through one shared FeatureCache are exact
+        under concurrency: identical labels, and the normalized-block memo
+        accounts for every lookup."""
         samples = extract_loop_samples(
-            program, None, tiny_inst2vec, walk_space,
+            build_mixed_program(), None, tiny_inst2vec, walk_space,
             suite="t", app="mixed", gamma=10, rng=0,
         )
         config = MVGNNConfig(
@@ -133,30 +123,25 @@ class TestConcurrentPredict:
         model = MVGNN(config, rng=0)
         model.eval()
         cache = FeatureCache(DiskCache(tmp_path))
-        engine = Engine(
-            model, inst2vec=tiny_inst2vec, walk_space=walk_space,
-            cache=cache, gamma=10,
-        )
-        serial = list(engine.predict_many(subpegs))
+        engine = Engine(model, cache=cache)
+        serial = list(engine.predict_many(samples))
+        distinct = cache.adj_misses
 
         def worker(_):
-            return list(engine.predict_many(subpegs))
+            return list(engine.predict_many(samples))
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             outcomes = list(pool.map(worker, range(THREADS)))
 
         assert all(labels == serial for labels in outcomes)
-        hits, misses = cache.snapshot()
-        # every lookup is accounted for: 2 feature kinds per sub-PEG per
+        # every lookup is accounted for: one normalized block per graph per
         # call, across the serial warm-up and all concurrent calls
-        total_lookups = 2 * len(subpegs) * (1 + THREADS)
-        assert hits + misses == total_lookups
-        # the warm-up populated the cache, so the concurrent calls all hit
-        assert hits >= 2 * len(subpegs) * THREADS
-        assert (engine.stats.cache_hits, engine.stats.cache_misses) == (
-            hits, misses
-        )
-        assert engine.stats.graphs == len(subpegs) * (1 + THREADS)
+        total_lookups = len(samples) * (1 + THREADS)
+        assert cache.adj_hits + cache.adj_misses == total_lookups
+        # the warm-up populated the memo, so the concurrent calls all hit
+        assert cache.adj_misses == distinct
+        assert cache.snapshot() == (0, 0)
+        assert engine.stats.graphs == len(samples) * (1 + THREADS)
 
     def test_mixed_input_kinds_concurrently(self, rng):
         """LoopSample-free mix: GraphInputs of different sizes from many

@@ -62,6 +62,17 @@ def test_dataset_types_import_skips_assembly():
     )
 
 
+def test_profiler_import_skips_estimator_tools_and_analyses():
+    # the static estimator's tools import every analysis module
+    loaded = loaded_after("from repro.profiler import profile_program")
+    assert "repro.profiler.interpreter" in loaded
+    assert not {
+        name for name in loaded
+        if name.split(".")[:2] in (["repro", "analysis"], ["repro", "tools"])
+    }
+    assert "repro.profiler.static_estimator" not in loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["classify", "--help"],
@@ -78,8 +89,10 @@ def test_package_exports_resolve():
     import repro.benchsuite
     import repro.dataset
     import repro.experiments
+    import repro.profiler
 
-    for package in (repro.benchsuite, repro.dataset, repro.experiments):
+    for package in (repro.benchsuite, repro.dataset, repro.experiments,
+                    repro.profiler):
         for name in package.__all__:
             assert getattr(package, name) is not None, (package.__name__, name)
     with pytest.raises(AttributeError):

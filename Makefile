@@ -43,12 +43,16 @@ test-tape:
 
 # Training wall: the batched-vs-per-sample differential and
 # reproducibility suite (tests/train), the golden training digest, the
-# finite-difference gradchecks of the segment ops, the optimizer tests,
-# the bit-exact oracles of the scatter VJPs, CSR pack and Adam, and the
-# tape-compiler wall (see docs/RUNTIME.md "Training fast path").
+# finite-difference gradchecks of every op (tests/nn/test_tensor.py, with
+# a planted perturbed VJP), the LSTM (tests/nn/test_rnn.py) and the
+# segment ops, the optimizer tests, the bit-exact oracles of the scatter
+# VJPs, CSR pack and Adam, and the tape-compiler wall (see
+# docs/RUNTIME.md "Training fast path").
 test-train:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/train/ \
+		tests/nn/test_tensor.py \
+		tests/nn/test_rnn.py \
 		tests/nn/test_batched_gradcheck.py \
 		tests/nn/test_optim.py \
 		tests/nn/test_primitive_scatter.py \

@@ -32,12 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.analysis.oracle import classify_loop
 from repro.analysis.patterns import classify_all_patterns
 from repro.analysis.reduction import find_reductions
-from repro.analysis.suggestions import (
-    _bare,
-    _is_inner_induction,
-    clause_strings,
-    render_pragma,
-)
+from repro.analysis.suggestions import _bare, _is_inner_induction, render_pragma
 from repro.errors import AdvisorError
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import IRProgram
@@ -295,9 +290,7 @@ def build_advice_plans(
                 ir_program, loop_id, oracle, verdict_source, tier,
                 block_sets, range_backed=bool(range_facts),
             )
-            pragma = render_pragma(
-                clause_strings(ir_program, loop_id, oracle, block_sets)
-            )
+            pragma = _render_clauses(clauses)
 
         if not verdict_parallel:
             rationale = f"{verdict_source} verdict: not parallel"
@@ -341,8 +334,10 @@ def _build_clauses(
     block_sets: Dict[str, Set[str]],
     range_backed: bool = False,
 ) -> Tuple[Clause, ...]:
-    """Clause objects in the same deterministic order as the rendered
-    pragma (:func:`repro.analysis.suggestions.clause_strings`)."""
+    """Clause objects in the deterministic order of
+    :func:`repro.analysis.suggestions.clause_strings`: the parallel-for,
+    each reduction sorted by bare accumulator name, then each private
+    scalar sorted by name."""
     base_prov = (verdict_source,)
     if tier == TIER_PROVER_CONFIRMED:
         base_prov = base_prov + ("prover:static_dep",)
@@ -372,6 +367,17 @@ def _build_clauses(
             provenance=("analysis:privatization", "oracle:dynamic"),
         ))
     return tuple(clauses)
+
+
+def _render_clauses(clauses: Sequence[Clause]) -> str:
+    """The pragma of a clause tuple, in the form of
+    :func:`repro.analysis.suggestions.clause_strings`: every reduction
+    clause, then one ``private(...)`` listing the private scalars."""
+    texts = [c.render() for c in clauses if c.kind == "reduction"]
+    private = [c.var for c in clauses if c.kind == "private"]
+    if private:
+        texts.append(f"private({', '.join(private)})")
+    return render_pragma(texts)
 
 
 def loop_oracle(ir_program: IRProgram, report: ProfileReport, loop_id: str):

@@ -402,7 +402,7 @@ def _cmd_train(args) -> int:
     if args.per_sample:
         path = "per-sample (reference)"
     elif args.no_compile:
-        path = "batched (hand-written autograd)"
+        path = "batched (eager autograd)"
     else:
         path = "batched (tape-compiled)"
     print(f"training MV-GNN: {train_config.epochs} epochs, "
@@ -814,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--no-compile", action="store_true",
         help="disable the tape-compiled forward/backward in the batched "
-             "path; use the hand-written autograd instead",
+             "path; use the eager autograd instead",
     )
     train.add_argument("--lr", type=float, default=2e-3)
     train.add_argument("--seed", type=int, default=0)

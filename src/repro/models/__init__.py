@@ -2,12 +2,12 @@
 
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
-from repro.models.single_view import SingleViewModel, StaticGNN
+from repro.models.single_view import SingleViewModel
 from repro.models.ncc import NCC, NCCConfig
 
 __all__ = [
     "DGCNN", "DGCNNConfig",
     "MVGNN", "MVGNNConfig",
-    "SingleViewModel", "StaticGNN",
+    "SingleViewModel",
     "NCC", "NCCConfig",
 ]

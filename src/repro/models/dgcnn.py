@@ -198,7 +198,7 @@ class DGCNN(Module):
         c1 = self.conv1.segment_call(flat, num_graphs, k * channels)
         length = k // self.pool.pool_size
         if length == 0:
-            p1, length = c1, k                # mirrors MaxPool1D identity
+            p1, length = c1, k                # MaxPool1D: identity below one window
         else:
             p1 = self.pool.segment_call(c1, num_graphs, k)
         if length < self.config.conv1d_kernel:

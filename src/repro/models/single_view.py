@@ -1,14 +1,13 @@
-"""Single-view models: the view-importance ablation (Fig. 8) and the
-Static-GNN baseline (Shen et al. 2021, "GNNs with Static Information").
+"""Single-view models: the view-importance ablation (Fig. 8).
 
 For Fig. 8 the paper evaluates each view alone "by putting the output of
 each view into an LSTM layer, followed by a fully connected layer": we feed
 the view's SortPooled node sequence through an LSTM and classify from the
 final hidden state.
 
-The Static-GNN baseline is the node-feature view restricted to *static*
-information only — the dataset pipeline zeroes the dynamic feature columns —
-matching Shen et al.'s inst2vec-only graph model.
+The Static-GNN baseline (Shen et al. 2021, "GNNs with Static Information")
+needs no model of its own: it is the node view's DGCNN over static-only
+features, :class:`repro.train.adapters.StaticGNNAdapter`.
 """
 
 from __future__ import annotations
@@ -71,20 +70,3 @@ class SingleViewModel(Module):
 
     __call__ = forward
 
-
-class StaticGNN(Module):
-    """Shen et al.-style baseline: DGCNN over static-only node features.
-
-    Structurally identical to the node view's DGCNN; the *data* differs
-    (dynamic feature columns zeroed by the evaluation harness), which is the
-    faithful way to model "GNNs with Static Information".
-    """
-
-    def __init__(self, config: DGCNNConfig, rng: RngLike = None) -> None:
-        super().__init__()
-        self.dgcnn = DGCNN(config, rng=rng)
-
-    def forward(self, x: np.ndarray, adjacency: np.ndarray) -> Tensor:
-        return self.dgcnn(x, adjacency)
-
-    __call__ = forward

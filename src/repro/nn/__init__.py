@@ -24,7 +24,6 @@ from repro.nn.batching import (
 from repro.nn.functional import (
     softmax,
     softmax_cross_entropy,
-    binary_cross_entropy_with_logits,
     dropout_mask,
 )
 from repro.nn.layers import (
@@ -56,8 +55,7 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "no_grad",
     "is_sparse_matrix", "sparse_matmul",
     "block_diagonal_adjacency", "pad_segments", "segment_offsets",
-    "softmax", "softmax_cross_entropy", "binary_cross_entropy_with_logits",
-    "dropout_mask",
+    "softmax", "softmax_cross_entropy", "dropout_mask",
     "Module", "Parameter", "Dense", "GraphConv", "Conv1D", "MaxPool1D",
     "Dropout", "SortPooling", "normalized_adjacency",
     "LSTM",

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import ModelError
+from repro.nn.primitives import dropout_mask  # noqa: F401  (re-exported)
 from repro.nn.tensor import Tensor
-from repro.utils.rng import RngLike, ensure_rng
 
 
 def softmax(logits: Tensor, temperature: float = 1.0) -> Tensor:
@@ -59,26 +57,3 @@ def softmax_cross_entropy_batch(
     if reduction == "mean":
         return nll.mean()
     raise ModelError(f"unknown reduction {reduction!r} (expected mean|sum)")
-
-
-def binary_cross_entropy_with_logits(logit: Tensor, target: float) -> Tensor:
-    """Numerically-stable BCE on a scalar logit."""
-    prob = logit.sigmoid()
-    eps = 1e-12
-    return -(
-        Tensor(float(target)) * (prob + eps).log()
-        + Tensor(1.0 - float(target)) * (Tensor(1.0) - prob + eps).log()
-    )
-
-
-def dropout_mask(
-    shape, rate: float, rng: RngLike = None
-) -> Optional[np.ndarray]:
-    """Inverted-dropout mask, or None when rate is 0."""
-    if rate <= 0.0:
-        return None
-    if rate >= 1.0:
-        raise ModelError("dropout rate must be < 1")
-    generator = ensure_rng(rng)
-    keep = 1.0 - rate
-    return (generator.random(shape) < keep).astype(np.float64) / keep

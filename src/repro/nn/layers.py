@@ -14,15 +14,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn.functional import dropout_mask
 from repro.nn.init import glorot_uniform, zeros_init
-from repro.nn.tensor import (
-    Tensor,
-    as_tensor,
-    concat,
-    is_sparse_matrix,
-    sparse_matmul,
-)
+from repro.nn.primitives import PRIMITIVES
+from repro.nn.tensor import Tensor, apply, as_tensor, sparse_matmul
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -178,15 +172,9 @@ class GraphConv(Module):
             raise ModelError(
                 f"GraphConv: {h.shape[0]} node rows vs {adj_norm.shape[0]} adj rows"
             )
-        trace = getattr(h, "_trace", None)
-        if trace is not None:
-            # tape recording: the adjacency is an execution-time input slot
-            propagated = trace.adj_matmul(adj_norm, h)
-        elif is_sparse_matrix(adj_norm):
-            propagated = sparse_matmul(adj_norm, h)
-        else:
-            propagated = Tensor(adj_norm) @ h
-        out = propagated @ self.weight
+        # the adjacency is structure, not a Tensor: a tape records it as an
+        # execution-time input slot
+        out = sparse_matmul(adj_norm, h) @ self.weight
         return _activate(out, self.activation)
 
 
@@ -240,24 +228,10 @@ class SortPooling(Module):
                 f"SortPooling.segment_call: {h.shape[0]} rows vs "
                 f"sum(sizes)={total}"
             )
-        trace = getattr(h, "_trace", None)
-        if trace is not None:
-            # the sort order is data-dependent, so tape recording emits a
-            # dynamic primitive instead of baking this batch's indices
-            return trace.segment_sort_pool(h, sizes, self.k)
-        channels = h.shape[1]
-        # gather through an appended zero row so per-segment padding stays a
-        # single differentiable take_rows instead of a concat per graph
-        zero_row = total
-        indices = np.full(len(sizes) * self.k, zero_row, dtype=np.int64)
-        offset = 0
-        for g, n in enumerate(sizes):
-            order = np.argsort(-h.data[offset : offset + n, -1], kind="stable")
-            take = min(n, self.k)
-            indices[g * self.k : g * self.k + take] = offset + order[:take]
-            offset += n
-        extended = concat([h, Tensor(np.zeros((1, channels)))], axis=0)
-        return extended.take_rows(indices)
+        # the sort order is data-dependent: the primitive derives it from
+        # the values each time it runs, so a tape never bakes one batch's
+        # order in
+        return apply(_SEGMENT_SORT_POOL, (h, sizes), {"k": int(self.k)})
 
 
 class Conv1D(Module):
@@ -402,13 +376,15 @@ class Dropout(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if not self.training or self.rate <= 0.0:
             return x
-        trace = getattr(x, "_trace", None)
-        if trace is not None:
-            # masks are drawn from this layer's rng at tape execution time,
-            # keeping the draw order identical to the interpreted path
-            return trace.dropout(x, self.rate, self._rng)
-        mask = dropout_mask(x.shape, self.rate, self._rng)
-        return x * Tensor(mask)
+        # the mask is drawn from this layer's rng when the op runs, so a
+        # tape replays the same draw order as the eager forward
+        return apply(
+            _DROPOUT, (as_tensor(x),), {"rate": float(self.rate), "rng": self._rng}
+        )
+
+
+_SEGMENT_SORT_POOL = PRIMITIVES["segment_sort_pool"]
+_DROPOUT = PRIMITIVES["dropout"]
 
 
 def _activate(x: Tensor, activation: Optional[str]) -> Tensor:

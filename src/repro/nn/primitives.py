@@ -1,23 +1,28 @@
-"""Primitive-op registry + VJP table for the trace-compiled runtime.
+"""The op registry: the one definition of every op's forward and VJP.
 
-Every numeric operation the MV-GNN batched forward performs is expressible
-as one of the primitives below.  Each primitive carries
+Every numeric operation the models perform is one of the primitives
+below.  Each primitive carries
 
-* ``forward(inputs, attrs, out=None)`` — the exact numpy computation the
-  autograd :mod:`repro.nn.tensor` closures perform (same clips, same masks,
-  same epsilon floors), optionally writing into a caller-owned ``out``
-  buffer so the tape interpreter can reuse allocations across calls;
+* ``forward(inputs, attrs, out=None)`` — the numpy computation (clips,
+  masks and epsilon floors included), optionally writing into a
+  caller-owned ``out`` buffer so the tape interpreter can reuse
+  allocations across calls;
 * ``forward_res(inputs, attrs)`` — forward plus the *residuals* the
   backward pass needs for data-dependent ops (dropout masks, SortPooling
   gather indices);
 * ``vjp(grad, inputs, out, res, attrs, needed)`` — one gradient per input
-  (``None`` where ``needed`` is False or the input is non-differentiable),
-  mirroring the hand-written VJPs in :mod:`repro.nn.tensor` /
-  :mod:`repro.nn.layers`.
+  (``None`` where ``needed`` is False or the input is non-differentiable);
+* ``vjp_into(acc, grad, inputs, attrs)`` — for the single-input scatter
+  ops (``index``, ``gather``) only: adds the input gradient into ``acc``
+  in place and returns it (allocating when ``acc`` is None), so an eager
+  sweep that slices one tensor per time step allocates nothing per step.
 
-The registry is what makes a recorded tape self-contained: the tracer in
-:mod:`repro.runtime.tape` only ever emits names from :data:`PRIMITIVES`,
-and the interpreter and the mechanical backward both dispatch through it.
+Two front ends dispatch through this table and nowhere else:
+:func:`repro.nn.tensor.apply` runs a primitive eagerly (and records an
+autograd node whose backward calls its ``vjp``), and while
+:func:`repro.runtime.tape.record_tape` is active the same call appends a
+tape op instead.  The tape interpreter and its mechanical backward replay
+the recorded names through the same entries.
 
 Classification flags drive the interpreter's optimizations:
 
@@ -31,13 +36,12 @@ Classification flags drive the interpreter's optimizations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn.functional import dropout_mask
-from repro.nn.tensor import _is_basic_index, _unbroadcast
+from repro.utils.rng import RngLike, ensure_rng
 
 Arrays = Tuple[np.ndarray, ...]
 Attrs = Dict[str, object]
@@ -46,7 +50,9 @@ Attrs = Dict[str, object]
 class Primitive:
     """One registered tape op: forward, residual forward, and VJP."""
 
-    __slots__ = ("name", "fwd", "fwd_res", "vjp", "kind", "fresh", "out_shape")
+    __slots__ = (
+        "name", "fwd", "fwd_res", "vjp", "vjp_into", "kind", "fresh", "out_shape",
+    )
 
     def __init__(
         self,
@@ -57,10 +63,12 @@ class Primitive:
         fresh: bool = True,
         out_shape: Optional[Callable[[Arrays, Attrs], Tuple[int, ...]]] = None,
         fwd_res: Optional[Callable[[Arrays, Attrs], Tuple[np.ndarray, object]]] = None,
+        vjp_into: Optional[Callable[..., np.ndarray]] = None,
     ) -> None:
         self.name = name
         self.fwd = fwd
         self.vjp = vjp
+        self.vjp_into = vjp_into
         self.kind = kind
         self.fresh = fresh
         self.out_shape = out_shape
@@ -91,6 +99,42 @@ def _register(prim: Primitive) -> Primitive:
         raise ModelError(f"duplicate primitive {prim.name!r}")
     PRIMITIVES[prim.name] = prim
     return prim
+
+
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
+    grad = np.asarray(grad)
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def _is_basic_index(key) -> bool:
+    """True when ``key`` uses only ints/slices (basic, non-aliasing indexing)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis for p in parts)
+
+
+def is_sparse_matrix(value) -> bool:
+    """True when ``value`` is a scipy sparse matrix/array (duck-typed so the
+    registry stays importable without scipy)."""
+    return hasattr(value, "toarray") and hasattr(value, "tocsr")
+
+
+def dropout_mask(
+    shape, rate: float, rng: RngLike = None
+) -> Optional[np.ndarray]:
+    """Inverted-dropout mask, or None when rate is 0."""
+    if rate <= 0.0:
+        return None
+    if rate >= 1.0:
+        raise ModelError("dropout rate must be < 1")
+    generator = ensure_rng(rng)
+    keep = 1.0 - rate
+    return (generator.random(shape) < keep).astype(np.float64) / keep
 
 
 def _finish(result: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
@@ -194,7 +238,7 @@ _register(Primitive(
 
 _register(Primitive(
     "relu",
-    # exact Tensor.relu numerics: x * (x > 0), not maximum(x, 0)
+    # x * (x > 0), not maximum(x, 0): the trained goldens pin these bits
     lambda ins, attrs, out: np.multiply(ins[0], ins[0] > 0.0, out=out),
     lambda g, ins, out, res, attrs, needed: (
         (g * (ins[0] > 0.0)) if needed[0] else None,
@@ -269,7 +313,7 @@ def _adj_matmul_vjp(g, ins, out, res, attrs, needed):
     matrix, _h = ins
     if not needed[1]:
         return None, None
-    if hasattr(matrix, "tocsr"):
+    if is_sparse_matrix(matrix):
         # scipy sparse: matrixᵀ is a free CSC view whose product sums each
         # output row in the same order as the CSR transpose would
         return None, np.asarray(matrix.T @ g)
@@ -362,16 +406,22 @@ _register(Primitive(
 ))
 
 
-def _index_vjp(g, ins, out, res, attrs, needed):
-    if not needed[0]:
-        return (None,)
+def _index_vjp_into(acc, g, ins, attrs):
+    """Add ``g`` into ``acc[key]``: in place for slices and ints (they never
+    alias), unbuffered ``np.add.at`` for integer-array keys, which may
+    repeat an index."""
     key = attrs["key"]
-    grad_in = np.zeros_like(ins[0])
+    if acc is None:
+        acc = np.zeros_like(ins[0])
     if _is_basic_index(key):
-        grad_in[key] += g
+        acc[key] += g
     else:
-        np.add.at(grad_in, key, g)
-    return (grad_in,)
+        np.add.at(acc, key, g)
+    return acc
+
+
+def _index_vjp(g, ins, out, res, attrs, needed):
+    return (_index_vjp_into(None, g, ins, attrs) if needed[0] else None,)
 
 
 _register(Primitive(
@@ -379,29 +429,37 @@ _register(Primitive(
     lambda ins, attrs, out: ins[0][attrs["key"]],
     _index_vjp,
     fresh=False,
+    vjp_into=_index_vjp_into,
 ))
 
 
-def _gather_vjp(g, ins, out, res, attrs, needed):
+def _gather_vjp_into(acc, g, ins, attrs):
     """Scatter-add ``g`` back onto the gathered rows.
 
-    One ``bincount`` over the flat ``row * C + column`` keys equals
-    ``np.add.at`` into zeros bit for bit: both start every cell at 0.0 and
-    add its entries one at a time in index order, duplicates included.
-    (Only where two NaNs meet in one cell may the sum carry the other NaN's
-    sign or payload.)  Indices are row numbers (never negative), as the
-    tracer records them.
+    Into a fresh gradient, one ``bincount`` over the flat
+    ``row * C + column`` keys equals ``np.add.at`` into zeros bit for bit:
+    both start every cell at 0.0 and add its entries one at a time in
+    index order, duplicates included.  (Only where two NaNs meet in one
+    cell may the sum carry the other NaN's sign or payload.)  Indices are
+    row numbers (never negative), as the tracer records them.  Into an
+    existing gradient the entries are added in place, in the same order.
     """
-    if not needed[0]:
-        return (None,)
+    indices = attrs["indices"]
+    if acc is not None:
+        np.add.at(acc, indices, g)
+        return acc
     x = ins[0]
     rows = x.shape[0]
     cols = x.size // rows if rows else 0
-    keys = attrs["indices"].ravel()
+    keys = indices.ravel()
     if cols != 1:
         keys = (keys[:, None] * cols + np.arange(cols)).ravel()
     grad_in = np.bincount(keys, weights=g.ravel(), minlength=rows * cols)
-    return (grad_in.reshape(x.shape),)
+    return grad_in.reshape(x.shape)
+
+
+def _gather_vjp(g, ins, out, res, attrs, needed):
+    return (_gather_vjp_into(None, g, ins, attrs) if needed[0] else None,)
 
 
 _register(Primitive(
@@ -412,6 +470,7 @@ _register(Primitive(
     ),
     _gather_vjp,
     out_shape=lambda ins, attrs: attrs["indices"].shape + ins[0].shape[1:],
+    vjp_into=_gather_vjp_into,
 ))
 
 
@@ -451,9 +510,9 @@ _register(Primitive("concat", _concat_fwd, _concat_vjp, out_shape=_concat_shape)
 
 def _sort_pool_indices(x: np.ndarray, sizes, k: int) -> np.ndarray:
     """Per-segment stable descending argsort of the last channel, truncated
-    to ``k`` and padded with the sentinel row ``total`` — byte-identical to
-    ``SortPooling.segment_call``'s per-segment ``np.argsort(-seg, "stable")``
-    loop (lexsort and argsort share the same stable ordering semantics)."""
+    to ``k`` and padded with the sentinel row ``total``: per segment, the
+    order of ``np.argsort(-x[seg, -1], kind="stable")`` (lexsort is stable
+    too, so ties keep their row order)."""
     sizes = np.asarray(sizes, dtype=np.int64)
     total = int(x.shape[0])
     num = int(sizes.shape[0])

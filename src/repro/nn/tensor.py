@@ -1,25 +1,40 @@
-"""Reverse-mode autograd on numpy arrays.
+"""Reverse-mode autograd on numpy arrays, over the primitive registry.
 
-A :class:`Tensor` wraps an ``ndarray`` and records the operations producing
-it on a tape (parents + a backward closure).  ``Tensor.backward()``
-topologically sorts the tape and accumulates gradients.  Broadcasting is
-supported by summing gradients over broadcast axes (:func:`_unbroadcast`).
+A :class:`Tensor` wraps an ``ndarray``.  Every operation on it is one
+:data:`~repro.nn.primitives.PRIMITIVES` entry run through :func:`apply`:
+the primitive's ``forward_res`` computes the value and, when a gradient is
+needed, the output keeps its parents and a backward hook that calls the
+primitive's ``vjp``.  ``Tensor.backward()`` topologically sorts those
+nodes and accumulates gradients.  Each op's numerics therefore live in
+one place, checked against finite differences in the test suite.
 
-The engine is deliberately small: exactly the operations the paper's models
-need (DGCNN, LSTM, multi-view fusion), each with a hand-written VJP, all
-checked against finite differences in the test suite.
+While :func:`recording` is active (see :func:`repro.runtime.tape.record_tape`)
+:func:`apply` hands every application to the recorder instead, which
+appends a tape op; the models run unchanged in both modes.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from contextvars import ContextVar
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
+from repro.nn.primitives import (  # noqa: F401  (is_sparse_matrix re-exported)
+    PRIMITIVES,
+    Primitive,
+    is_sparse_matrix,
+)
 
 _GRAD_ENABLED = [True]
+
+#: the active tape recorder of this thread/context (None when eager)
+_RECORDER: ContextVar = ContextVar("repro_nn_recorder", default=None)
+
+_NO_ATTRS: dict = {}
 
 
 @contextlib.contextmanager
@@ -36,10 +51,25 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED[-1]
 
 
+@contextlib.contextmanager
+def recording(recorder):
+    """Route every :func:`apply` in this context to
+    ``recorder.record(prim, inputs, attrs)``, which returns the output."""
+    token = _RECORDER.set(recorder)
+    try:
+        yield
+    finally:
+        _RECORDER.reset(token)
+
+
 class Tensor:
     """A numpy array with an autograd tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    # ``_recorded_as`` is set only on values a recorder emits:
+    # ``(recorder, slot)``, which it reads back when an op consumes them
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "_recorded_as",
+    )
 
     def __init__(
         self,
@@ -50,7 +80,7 @@ class Tensor:
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and grad_enabled()
+        self.requires_grad = requires_grad and _GRAD_ENABLED[-1]
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -123,261 +153,91 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _promote(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        return Tensor(data, requires, parents, backward if requires else None)
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = self._promote(other)
-        out_data = self.data + other.data
+        return apply(_ADD, (self, as_tensor(other)))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
-    __radd__ = __add__
+    def __radd__(self, other) -> "Tensor":
+        return apply(_ADD, (as_tensor(other), self))
 
     def __mul__(self, other) -> "Tensor":
-        other = self._promote(other)
-        out_data = self.data * other.data
+        return apply(_MUL, (self, as_tensor(other)))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
+    def __rmul__(self, other) -> "Tensor":
+        return apply(_MUL, (as_tensor(other), self))
 
     def __sub__(self, other) -> "Tensor":
-        other = self._promote(other)
-        out_data = self.data - other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-grad, other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
+        return apply(_SUB, (self, as_tensor(other)))
 
     def __rsub__(self, other) -> "Tensor":
-        return self._promote(other).__sub__(self)
+        return apply(_SUB, (as_tensor(other), self))
 
     def __neg__(self) -> "Tensor":
-        out_data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_NEG, (self,))
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._promote(other)
-        out_data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(
-                        -grad * self.data / (other.data**2), other.data.shape
-                    )
-                )
-
-        return self._make(out_data, (self, other), backward)
+        return apply(_DIV, (self, as_tensor(other)))
 
     def __rtruediv__(self, other) -> "Tensor":
-        return self._promote(other).__truediv__(self)
+        return apply(_DIV, (as_tensor(other), self))
 
     def __matmul__(self, other) -> "Tensor":
-        other = self._promote(other)
-        out_data = self.data @ other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.outer(grad, other.data))
-                else:
-                    self._accumulate(grad @ other.data.T)
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
-                else:
-                    other._accumulate(self.data.T @ grad)
-
-        return self._make(out_data, (self, other), backward)
+        return apply(_MATMUL, (self, as_tensor(other)))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise ModelError("Tensor ** only supports scalar exponents")
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(out_data, (self,), backward)
+        return apply(_POW, (self,), {"exponent": float(exponent)})
 
     # -- elementwise nonlinearities -------------------------------------------------
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(np.clip(self.data, -700.0, 700.0))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_EXP, (self,))
 
     def log(self) -> "Tensor":
-        out_data = np.log(np.maximum(self.data, 1e-300))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / np.maximum(self.data, 1e-300))
-
-        return self._make(out_data, (self,), backward)
+        return apply(_LOG, (self,))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return self._make(out_data, (self,), backward)
+        return apply(_TANH, (self,))
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500.0, 500.0)))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
+        return apply(_SIGMOID, (self,))
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_RELU, (self,))
 
     # -- reductions ------------------------------------------------------------------
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                g = np.asarray(grad)
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-        return self._make(out_data, (self,), backward)
+        return apply(_SUM, (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        expanded = self.data.max(axis=axis, keepdims=True)
-        mask = self.data == expanded
-        counts = mask.sum(axis=axis, keepdims=True)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                g = np.asarray(grad)
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(mask * g / counts)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_MAX, (self,), {"axis": axis, "keepdims": keepdims})
 
     # -- shape manipulation --------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        out_data = self.data.reshape(shape)
-        original = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(original))
-
-        return self._make(out_data, (self,), backward)
+        return apply(_RESHAPE, (self,), {"shape": shape})
 
     def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_TRANSPOSE, (self,))
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
-        # slices / ints never alias, so plain += works; integer-array keys
-        # may repeat indices and need the unbuffered np.add.at
-        simple = _is_basic_index(key)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                # accumulate straight into .grad: slicing happens inside hot
-                # per-timestep loops and a fresh zeros_like per step would
-                # dominate the backward pass
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                if simple:
-                    self.grad[key] += grad
-                else:
-                    np.add.at(self.grad, key, grad)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_INDEX, (self,), {"key": key})
 
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Row gather (embedding lookup / SortPooling selection)."""
         indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, indices, grad)
-
-        return self._make(out_data, (self,), backward)
+        return apply(_GATHER, (self,), {"indices": indices})
 
     def pad_rows(self, total_rows: int) -> "Tensor":
         """Zero-pad along axis 0 up to ``total_rows`` (SortPooling padding)."""
@@ -386,14 +246,79 @@ class Tensor:
             raise ModelError(f"cannot pad {rows} rows down to {total_rows}")
         if rows == total_rows:
             return self
-        out_data = np.zeros((total_rows, cols), dtype=self.data.dtype)
-        out_data[:rows] = self.data
+        return concat([self, Tensor(np.zeros((total_rows - rows, cols)))], axis=0)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[:rows])
 
-        return self._make(out_data, (self,), backward)
+_ADD, _SUB, _MUL, _DIV, _MATMUL = (
+    PRIMITIVES[name] for name in ("add", "sub", "mul", "div", "matmul")
+)
+_NEG, _POW, _EXP, _LOG, _TANH, _SIGMOID, _RELU = (
+    PRIMITIVES[name]
+    for name in ("neg", "pow", "exp", "log", "tanh", "sigmoid", "relu")
+)
+_SUM, _MAX, _RESHAPE, _TRANSPOSE, _INDEX, _GATHER, _CONCAT, _ADJ_MATMUL = (
+    PRIMITIVES[name]
+    for name in (
+        "sum", "max", "reshape", "transpose", "index", "gather", "concat",
+        "adj_matmul",
+    )
+)
+
+
+def apply(prim: Primitive, inputs: tuple, attrs: dict = _NO_ATTRS) -> Tensor:
+    """Run ``prim`` on ``inputs``: Tensors, or structure objects (an
+    adjacency matrix, a sizes vector) that never take a gradient.
+
+    Eagerly, the output's backward hook calls ``prim.vjp`` and accumulates
+    into every parent that requires a gradient; a single-input scatter op
+    (``prim.vjp_into``) adds straight into its parent's gradient buffer.
+    Under :func:`recording` the recorder emits the op instead.
+    """
+    recorder = _RECORDER.get()
+    if recorder is not None:
+        return recorder.record(prim, inputs, attrs)
+    # unary and all-Tensor binary calls are the hot cases: unrolled
+    if len(inputs) == 1:
+        (a,) = inputs
+        ins = (a.data,)
+        needed = (a.requires_grad,)
+    elif len(inputs) == 2 and isinstance(inputs[0], Tensor) and isinstance(
+        inputs[1], Tensor
+    ):
+        a, b = inputs
+        ins = (a.data, b.data)
+        needed = (a.requires_grad, b.requires_grad)
+    else:
+        ins = tuple([t.data if isinstance(t, Tensor) else t for t in inputs])
+        needed = tuple([isinstance(t, Tensor) and t.requires_grad for t in inputs])
+    if prim.fwd_res is None:
+        data, res = prim.fwd(ins, attrs, None), None
+    else:
+        data, res = prim.fwd_res(ins, attrs)
+    if True not in needed or not _GRAD_ENABLED[-1]:
+        return Tensor(data)
+    # a partial, not a closure: two GC-tracked objects per node instead of
+    # a function plus one cell per captured name
+    if prim.vjp_into is not None:
+        backward = partial(_pull_into, prim.vjp_into, inputs[0], ins, attrs)
+    else:
+        backward = partial(_pull, prim.vjp, ins, data, res, attrs, needed, inputs)
+    parents = inputs
+    if False in needed:
+        parents = tuple([t for t, need in zip(inputs, needed) if need])
+    return Tensor(data, True, parents, backward)
+
+
+def _pull(vjp, ins, data, res, attrs, needed, inputs, grad) -> None:
+    """Backward of one node: accumulate each input's VJP partial."""
+    for t, part in zip(inputs, vjp(grad, ins, data, res, attrs, needed)):
+        if part is not None:
+            t._accumulate(part)
+
+
+def _pull_into(vjp_into, src, ins, attrs, grad) -> None:
+    """Backward of a scatter node: add into ``src.grad`` in place."""
+    src.grad = vjp_into(src.grad, grad, ins, attrs)
 
 
 def as_tensor(value, requires_grad: bool = False) -> Tensor:
@@ -402,96 +327,27 @@ def as_tensor(value, requires_grad: bool = False) -> Tensor:
     return Tensor(value, requires_grad=requires_grad)
 
 
-def _active_trace(*tensors):
-    """The tape-recording context of any TraceTensor operand, if present.
-
-    Duck-typed (``_trace`` attribute) so the autograd core stays free of a
-    dependency on :mod:`repro.runtime.tape`, which imports this module.
-    """
-    for t in tensors:
-        trace = getattr(t, "_trace", None)
-        if trace is not None:
-            return trace
-    return None
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation."""
-    tensors = [as_tensor(t) for t in tensors]
-    trace = _active_trace(*tensors)
-    if trace is not None:
-        return trace.concat(tensors, axis)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-    requires = any(t.requires_grad for t in tensors)
-    return Tensor(out_data, requires, tuple(tensors), backward if requires else None)
+    return apply(_CONCAT, tuple([as_tensor(t) for t in tensors]), {"axis": axis})
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stacking along a new axis."""
+    """Differentiable stacking along a new axis (a concat of reshapes)."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        for pos, tensor in enumerate(tensors):
-            if tensor.requires_grad:
-                tensor._accumulate(np.take(grad, pos, axis=axis))
-
-    requires = any(t.requires_grad for t in tensors)
-    return Tensor(out_data, requires, tuple(tensors), backward if requires else None)
-
-
-def is_sparse_matrix(value) -> bool:
-    """True when ``value`` is a scipy sparse matrix/array (duck-typed so the
-    autograd core stays importable without scipy)."""
-    return hasattr(value, "toarray") and hasattr(value, "tocsr")
+    expanded = np.expand_dims(tensors[0].data, axis).shape
+    return concat([t.reshape(*expanded) for t in tensors], axis=axis)
 
 
 def sparse_matmul(matrix, h: Tensor) -> Tensor:
-    """Differentiable ``matrix @ h`` for a *constant* scipy sparse ``matrix``.
+    """Differentiable ``matrix @ h`` for a *constant* structure ``matrix``.
 
-    ``matrix`` is ``(m, n)`` sparse, ``h`` is a ``(n, f)`` Tensor; the result
-    is a dense ``(m, f)`` Tensor.  Only ``h`` receives gradients (the matrix
-    is graph structure, not a parameter): the VJP is ``matrixᵀ @ grad``.
-    Used for block-diagonal batched graph propagation where materializing the
-    dense ``(m, n)`` adjacency would be quadratic in the batch size.
+    ``matrix`` is ``(m, n)``, a scipy sparse matrix or a dense ndarray;
+    ``h`` is a ``(n, f)`` Tensor; the result is a dense ``(m, f)`` Tensor.
+    Only ``h`` receives gradients (the matrix is graph structure, not a
+    parameter): the VJP is ``matrixᵀ @ grad``.  A sparse block-diagonal
+    matrix propagates a packed batch of graphs without materializing the
+    dense ``(m, n)`` adjacency, which would be quadratic in the batch size.
     """
-    h = as_tensor(h)
-    trace = _active_trace(h)
-    if trace is not None:
-        return trace.adj_matmul(matrix, h)
-    out_data = np.asarray(matrix @ h.data)
-    matrix_t = matrix.T.tocsr()
+    return apply(_ADJ_MATMUL, (matrix, as_tensor(h)))
 
-    def backward(grad: np.ndarray) -> None:
-        if h.requires_grad:
-            h._accumulate(np.asarray(matrix_t @ grad))
-
-    requires = h.requires_grad
-    return Tensor(out_data, requires, (h,), backward if requires else None)
-
-
-def _is_basic_index(key) -> bool:
-    """True when ``key`` uses only ints/slices (basic, non-aliasing indexing)."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis for p in parts)
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    grad = np.asarray(grad)
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad

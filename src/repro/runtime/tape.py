@@ -1,14 +1,16 @@
 """Trace-compile the batched MV-GNN forward into a linear tape of primitives.
 
-``record_tape`` runs a model's ``forward_batch`` once with the inputs
-wrapped in :class:`TraceTensor` — a :class:`~repro.nn.tensor.Tensor`
-subclass whose operations append :class:`TapeOp` records (primitive name,
-input slots, output slot, attrs) instead of autograd closures.  The result
-is a :class:`Tape`: a flat program over numbered slots whose structure
-depends only on the model architecture, the number of graphs ``B`` in the
-pack, and the train/eval mode — node counts, adjacency matrices, and
-feature values all flow in as inputs at execution time, so one tape per
-``(architecture, B, mode)`` serves every batch of that shape class.
+``record_tape`` runs a model's ``forward_batch`` once under
+:func:`repro.nn.tensor.recording`: every primitive application that
+:func:`repro.nn.tensor.apply` sees appends a :class:`TapeOp` record
+(primitive name, input slots, output slot, attrs) instead of an autograd
+node, so the models are traced through the very calls that run them
+eagerly.  The result is a :class:`Tape`: a flat program over numbered
+slots whose structure depends only on the model architecture, the number
+of graphs ``B`` in the pack, and the train/eval mode — node counts,
+adjacency matrices, and feature values all flow in as inputs at execution
+time, so one tape per ``(architecture, B, mode)`` serves every batch of
+that shape class.
 
 Three ways to run a tape:
 
@@ -21,8 +23,8 @@ Three ways to run a tape:
   calls (callers receive copies, so reuse never aliases a live result).
 * :meth:`Tape.forward_values` + :meth:`Tape.backward` — forward with
   residuals, then a mechanical reverse sweep through the primitive VJP
-  table that accumulates straight into ``Parameter.grad`` — the
-  tape-derived replacement for the hand-written autograd backward.
+  table that accumulates straight into ``Parameter.grad``; the eager
+  ``Tensor.backward`` sweep calls the same VJPs.
 
 Parameter slots read ``Parameter.data`` live at execution time, so
 optimizer steps and the serving fleet's in-place hot weight reload take
@@ -37,15 +39,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import EngineError, ModelError
+from repro.errors import EngineError
 from repro.nn.layers import Parameter
 from repro.nn.primitives import PRIMITIVES, get_primitive
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, no_grad, recording
+from repro.utils.rng import ensure_rng
 
 __all__ = [
     "Tape",
     "TapeOp",
-    "TraceTensor",
     "record_tape",
     "trace_mvgnn_forward",
     "trace_dgcnn_forward",
@@ -180,7 +182,7 @@ class Tape:
         residuals: Sequence[object],
     ) -> None:
         """Reverse sweep through the VJP table; accumulates into
-        ``Parameter.grad`` exactly like the hand-written autograd path."""
+        ``Parameter.grad`` as the eager ``Tensor.backward`` sweep does."""
         if self.output not in self.needs_grad():
             return
         grads: Dict[int, np.ndarray] = {
@@ -214,7 +216,14 @@ class Tape:
 
 
 class TraceState:
-    """Mutable recording context shared by all TraceTensors of one trace."""
+    """Recorder of one trace: resolves operands to slots, emits ops.
+
+    Installed with :func:`repro.nn.tensor.recording`, it receives every
+    primitive application of the traced forward.  Each op also computes
+    its real value (through the same primitive forward the interpreter
+    runs), so shape checks and data-dependent control flow in the model
+    see concrete arrays while tracing.
+    """
 
     def __init__(self, tape: Tape, param_names: Dict[int, str]) -> None:
         self.tape = tape
@@ -230,11 +239,18 @@ class TraceState:
 
     # -- slot resolution ----------------------------------------------------
 
+    def bind(self, t: Tensor, slot: int) -> Tensor:
+        """Mark ``t`` as the value of this trace's recorded ``slot`` (the
+        mark, not an id() key, so the trace never keeps values alive)."""
+        t._recorded_as = (self, slot)
+        return t
+
     def slot_for_tensor(self, t: Tensor) -> int:
-        if isinstance(t, TraceTensor):
-            if t._trace is not self:
+        mark = getattr(t, "_recorded_as", None)
+        if mark is not None:
+            if mark[0] is not self:
                 raise EngineError("mixed tensors from two different traces")
-            return t._slot
+            return mark[1]
         key = id(t)
         slot = self._tensor_slots.get(key)
         if slot is None:
@@ -258,190 +274,26 @@ class TraceState:
             )
         return slot
 
-    def emit(
-        self,
-        prim: str,
-        inputs: Tuple[int, ...],
-        attrs: Dict[str, object],
-        data: np.ndarray,
-    ) -> "TraceTensor":
+    # -- the recorder hook (repro.nn.tensor.apply) --------------------------
+
+    def record(self, prim, inputs: tuple, attrs: Dict[str, object]) -> Tensor:
+        slots = tuple([
+            self.slot_for_tensor(t) if isinstance(t, Tensor)
+            else self.slot_for_object(t)
+            for t in inputs
+        ])
+        ins = tuple([t.data if isinstance(t, Tensor) else t for t in inputs])
+        value_attrs = attrs
+        if "rng" in attrs:
+            # trace-time values draw from a throwaway generator, so recording
+            # never consumes a layer's rng (execution draws the real masks)
+            value_attrs = dict(attrs, rng=ensure_rng(0))
+        data = prim.forward(ins, value_attrs)
         slot = self.tape.new_slot()
         self.tape.ops.append(
-            TapeOp(prim, inputs, slot, attrs, tuple(np.shape(data)))
+            TapeOp(prim.name, slots, slot, dict(attrs), tuple(np.shape(data)))
         )
-        return TraceTensor(data, self, slot)
-
-    # -- hooks reached from repro.nn via duck typing ------------------------
-
-    def concat(self, tensors: Sequence[Tensor], axis: int) -> "TraceTensor":
-        slots = tuple(self.slot_for_tensor(t) for t in tensors)
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        return self.emit("concat", slots, {"axis": axis}, data)
-
-    def adj_matmul(self, matrix, h: Tensor) -> "TraceTensor":
-        m_slot = self.slot_for_object(matrix)
-        h_slot = self.slot_for_tensor(h)
-        data = np.asarray(matrix @ h.data)
-        return self.emit("adj_matmul", (m_slot, h_slot), {}, data)
-
-    def segment_sort_pool(self, h: Tensor, sizes, k: int) -> "TraceTensor":
-        h_slot = self.slot_for_tensor(h)
-        s_slot = self.slot_for_object(sizes)
-        attrs = {"k": int(k)}
-        data = get_primitive("segment_sort_pool").forward(
-            (h.data, np.asarray(sizes, dtype=np.int64)), attrs
-        )
-        return self.emit("segment_sort_pool", (h_slot, s_slot), attrs, data)
-
-    def dropout(self, x: Tensor, rate: float, rng) -> "TraceTensor":
-        x_slot = self.slot_for_tensor(x)
-        # trace-time values use a throwaway generator so the layer's own rng
-        # is not consumed by recording (execution draws the real masks)
-        from repro.nn.functional import dropout_mask
-        from repro.utils.rng import ensure_rng
-
-        preview = dropout_mask(x.shape, rate, ensure_rng(0))
-        return self.emit(
-            "dropout", (x_slot,), {"rate": float(rate), "rng": rng},
-            x.data * preview,
-        )
-
-
-class TraceTensor(Tensor):
-    """A Tensor whose operations are recorded onto a :class:`Tape`.
-
-    Every operation also computes real values (through the same primitive
-    forwards the interpreter uses), so shape checks and data-dependent
-    control flow in the model see concrete arrays while tracing.
-    """
-
-    __slots__ = ("_trace", "_slot")
-
-    def __init__(self, data, trace: TraceState, slot: int) -> None:
-        super().__init__(data)
-        self._trace = trace
-        self._slot = slot
-
-    # -- helpers ------------------------------------------------------------
-
-    def _emit_binary(self, prim: str, other, reflected: bool = False):
-        state = self._trace
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        other_slot = state.slot_for_tensor(other_t)
-        if reflected:
-            ins_slots = (other_slot, self._slot)
-            ins = (other_t.data, self.data)
-        else:
-            ins_slots = (self._slot, other_slot)
-            ins = (self.data, other_t.data)
-        data = get_primitive(prim).forward(ins, {})
-        return state.emit(prim, ins_slots, {}, data)
-
-    def _emit_unary(self, prim: str, attrs: Optional[Dict[str, object]] = None):
-        attrs = attrs or {}
-        data = get_primitive(prim).forward((self.data,), attrs)
-        return self._trace.emit(prim, (self._slot,), attrs, data)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return self._emit_binary("add", other)
-
-    def __radd__(self, other):
-        return self._emit_binary("add", other, reflected=True)
-
-    def __mul__(self, other):
-        return self._emit_binary("mul", other)
-
-    def __rmul__(self, other):
-        return self._emit_binary("mul", other, reflected=True)
-
-    def __sub__(self, other):
-        return self._emit_binary("sub", other)
-
-    def __rsub__(self, other):
-        return self._emit_binary("sub", other, reflected=True)
-
-    def __truediv__(self, other):
-        return self._emit_binary("div", other)
-
-    def __rtruediv__(self, other):
-        return self._emit_binary("div", other, reflected=True)
-
-    def __matmul__(self, other):
-        return self._emit_binary("matmul", other)
-
-    def __rmatmul__(self, other):
-        return self._emit_binary("matmul", other, reflected=True)
-
-    def __neg__(self):
-        return self._emit_unary("neg")
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise ModelError("Tensor ** only supports scalar exponents")
-        return self._emit_unary("pow", {"exponent": float(exponent)})
-
-    # -- nonlinearities -----------------------------------------------------
-
-    def exp(self):
-        return self._emit_unary("exp")
-
-    def log(self):
-        return self._emit_unary("log")
-
-    def tanh(self):
-        return self._emit_unary("tanh")
-
-    def sigmoid(self):
-        return self._emit_unary("sigmoid")
-
-    def relu(self):
-        return self._emit_unary("relu")
-
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        return self._emit_unary("sum", {"axis": axis, "keepdims": keepdims})
-
-    def max(self, axis, keepdims=False):
-        return self._emit_unary("max", {"axis": axis, "keepdims": keepdims})
-
-    # mean() is inherited: sum()/count routes through the overrides above
-
-    # -- shape / gather -----------------------------------------------------
-
-    def reshape(self, *shape):
-        return self._emit_unary("reshape", {"shape": tuple(shape)})
-
-    def transpose(self):
-        return self._emit_unary("transpose")
-
-    def __getitem__(self, key):
-        return self._emit_unary("index", {"key": key})
-
-    def take_rows(self, indices):
-        indices = np.asarray(indices, dtype=np.int64)
-        return self._emit_unary("gather", {"indices": indices})
-
-    def pad_rows(self, total_rows):
-        rows, cols = self.data.shape
-        if rows > total_rows:
-            raise ModelError(f"cannot pad {rows} rows down to {total_rows}")
-        if rows == total_rows:
-            return self
-        # concat a constant zero block: same numbers as Tensor.pad_rows
-        state = self._trace
-        zeros = Tensor(np.zeros((total_rows - rows, cols)))
-        return state.concat([self, zeros], axis=0)
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def backward(self, grad=None):
-        raise ModelError(
-            "backward() during tracing — use Tape.backward on the recording"
-        )
+        return self.bind(Tensor(data), slot)
 
 
 def record_tape(
@@ -452,31 +304,33 @@ def record_tape(
 ) -> Tape:
     """Trace ``fn(**inputs)`` into a :class:`Tape`.
 
-    ``arrays`` are float inputs wrapped as :class:`TraceTensor`; ``objects``
-    are opaque structure inputs (sparse adjacency, sizes vector) registered
-    by identity so layer hooks can map them back to slots; ``params`` names
-    the model's live parameters (``model.named_parameters()``).
+    ``arrays`` are float inputs bound to Tensors whose ops are recorded;
+    ``objects`` are opaque structure inputs (sparse adjacency, sizes
+    vector) registered by identity so the ops that take them map them back
+    to slots; ``params`` names the model's live parameters
+    (``model.named_parameters()``).
     """
     tape = Tape()
     state = TraceState(tape, {id(p): name for name, p in params.items()})
     bound: Dict[str, object] = {}
     for name, arr in arrays.items():
         slot = tape.add_input(name, array=True)
-        bound[name] = TraceTensor(
-            np.asarray(arr, dtype=np.float64), state, slot
+        bound[name] = state.bind(
+            Tensor(np.asarray(arr, dtype=np.float64)), slot
         )
     for name, obj in objects.items():
         slot = tape.add_input(name, array=False)
         state.objects[id(obj)] = slot
         bound[name] = obj
-    with no_grad():
+    with no_grad(), recording(state):
         out = fn(**bound)
-    if not isinstance(out, TraceTensor) or out._trace is not state:
+    mark = getattr(out, "_recorded_as", None)
+    if mark is None or mark[0] is not state:
         raise EngineError(
-            "tracing escaped the tape: the forward returned a tensor that "
-            "was not recorded (an op bypassed the TraceTensor overrides)"
+            "tracing escaped the tape: the forward returned a value that "
+            "was not recorded (an op bypassed repro.nn.tensor.apply)"
         )
-    tape.output = out._slot
+    tape.output = mark[1]
     return tape
 
 

@@ -188,7 +188,7 @@ class _PerGraphAdapter(ModelAdapter):
         The returned Tensor is a graph *leaf* carrying a backward hook: when
         the loss backpropagates into it, :meth:`repro.runtime.tape.Tape.backward`
         replays the recorded program in reverse and accumulates parameter
-        gradients — replacing the hand-written autograd closures.
+        gradients through the same primitive VJPs the eager sweep calls.
         """
         key = (pack.num_graphs, self.module.training)
         tape = self._tapes.get(key)

@@ -38,7 +38,7 @@ class TrainConfig:
     compiled: bool = True             # trace-compile the packed forward into
                                       # a repro.runtime.tape program whose
                                       # backward is derived mechanically;
-                                      # False = hand-written autograd (only
+                                      # False = eager autograd (only
                                       # meaningful when batched is on)
 
     def __post_init__(self) -> None:

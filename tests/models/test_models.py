@@ -7,7 +7,7 @@ from repro.errors import ModelError
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
 from repro.models.ncc import NCC, NCCConfig
-from repro.models.single_view import SingleViewModel, StaticGNN
+from repro.models.single_view import SingleViewModel
 from repro.nn.functional import softmax_cross_entropy, softmax_cross_entropy_batch
 from repro.nn.optim import Adam
 
@@ -209,8 +209,3 @@ class TestSingleView:
     def test_invalid_view_rejected(self):
         with pytest.raises(ModelError):
             SingleViewModel("both", DGCNNConfig(in_features=4), rng=0)
-
-    def test_static_gnn_wraps_dgcnn(self, rng_mod):
-        model = StaticGNN(DGCNNConfig(in_features=12, sortpool_k=6), rng=0)
-        x, adj = _graph(rng_mod)
-        assert model(x, adj).shape == (2,)

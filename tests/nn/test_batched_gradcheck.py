@@ -1,8 +1,11 @@
 """Property-based finite-difference gradcheck of the batched graph ops.
 
-The batched training path leans on four hand-written VJPs: segment-aware
-SortPooling, segment-aware Conv1D and MaxPool1D, and the sparse
-block-diagonal ``sparse_matmul``.  Each test draws random ragged shapes
+The batched training path leans on four segment-aware ops: SortPooling
+(the ``segment_sort_pool`` primitive), Conv1D and MaxPool1D (composed of
+``gather``, ``reshape``, ``index`` and ``max``), and the sparse
+block-diagonal ``sparse_matmul`` (``adj_matmul``).  Their VJPs are the
+registered ones in :mod:`repro.nn.primitives`, which eager autograd and the
+tape backward share.  Each test draws random ragged shapes
 with :mod:`hypothesis`, builds a scalar loss ``sum(W * op(x))`` with a
 fixed random projection ``W``, and compares the autograd gradient against
 a central finite difference.

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ModelError
 from repro.nn.functional import (
-    binary_cross_entropy_with_logits,
     dropout_mask,
     softmax_cross_entropy,
     softmax_cross_entropy_batch,
@@ -49,18 +48,6 @@ class TestBatchCrossEntropy:
         sharp = softmax_cross_entropy_batch(logits, [1], temperature=0.5)
         soft = softmax_cross_entropy_batch(logits, [1], temperature=2.0)
         assert sharp.item() > soft.item()  # sharper softmax punishes misses
-
-
-class TestBinaryCrossEntropy:
-    def test_correct_confident_is_cheap(self):
-        good = binary_cross_entropy_with_logits(Tensor(np.array(5.0)), 1.0)
-        bad = binary_cross_entropy_with_logits(Tensor(np.array(-5.0)), 1.0)
-        assert good.item() < 0.1 < bad.item()
-
-    def test_symmetry(self):
-        a = binary_cross_entropy_with_logits(Tensor(np.array(2.0)), 0.0)
-        b = binary_cross_entropy_with_logits(Tensor(np.array(-2.0)), 1.0)
-        assert a.item() == pytest.approx(b.item(), rel=1e-9)
 
 
 class TestDropoutMask:

@@ -1,5 +1,10 @@
 """Autograd engine: finite-difference gradient checks, including
-property-based checks over random shapes."""
+property-based checks over random shapes.
+
+Every op's VJP is defined once, in :mod:`repro.nn.primitives`; eager
+autograd and the tape backward both call it, so these finite-difference
+checks are the independent oracle for every gradient.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
 from repro.nn.layers import Parameter
+from repro.nn.primitives import PRIMITIVES
 from repro.nn.tensor import Tensor, concat, no_grad, stack
 
 EPS = 1e-6
@@ -159,6 +165,32 @@ class TestEngineSemantics:
         loss = (a * a).sum()
         loss.backward()
         np.testing.assert_allclose(param.grad, [36.0])  # d(9x^2)/dx = 18x
+
+
+class TestOneDefinition:
+    """A planted fault in one registered VJP reaches eager autograd, and
+    the finite-difference oracle rejects it."""
+
+    @pytest.fixture()
+    def scaled_tanh_vjp(self, monkeypatch):
+        prim = PRIMITIVES["tanh"]
+        original = prim.vjp
+
+        def scaled(*args):
+            return tuple(None if p is None else 1.5 * p for p in original(*args))
+
+        monkeypatch.setattr(prim, "vjp", scaled)
+
+    def test_eager_backward_uses_the_registered_vjp(self, x, scaled_tanh_vjp):
+        param = Parameter(x.copy())
+        param.tanh().sum().backward()
+        np.testing.assert_array_equal(
+            param.grad, 1.5 * (1.0 - np.tanh(x) ** 2)
+        )
+
+    def test_gradcheck_rejects_the_perturbed_vjp(self, x, scaled_tanh_vjp):
+        with pytest.raises(AssertionError):
+            check_grad(lambda t: t.tanh().sum(), x)
 
 
 @given(

@@ -3,9 +3,12 @@
 Forward: for every fixture configuration (architectures x batch-shape
 classes, including 1-node graphs and single-graph packs) the recorded
 tape — interpreted unfused, fused, and fused-with-reused-buffers — must
-be **byte-identical** to ``forward_batch``.  Backward: the mechanical VJP
-sweep must match the hand-written autograd gradients to <= 1e-6 for every
-parameter, in eval and training (dropout) modes.
+be **byte-identical** to ``forward_batch``.  Backward: the tape's
+mechanical VJP sweep must match the eager ``Tensor.backward`` sweep to
+<= 1e-6 for every parameter, in eval and training (dropout) modes.  Both
+sweeps call the one VJP table in :mod:`repro.nn.primitives`; the
+finite-difference gradchecks in ``tests/nn`` are the independent oracle
+for the VJPs themselves.
 """
 
 import numpy as np
@@ -242,7 +245,7 @@ def _config_for(samples, dropout=0.0):
 
 
 class TestBackwardDifferential:
-    """Tape gradients vs hand-written autograd on identical minibatches."""
+    """Tape gradients vs the eager autograd sweep on identical minibatches."""
 
     def _compare(self, make_adapter, samples, training):
         reference = make_adapter()

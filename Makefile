@@ -41,13 +41,14 @@ test-tape:
 		tests/runtime/test_tape_properties.py \
 		tests/runtime/test_tape_golden.py -q
 
-# Training wall: the batched-vs-per-sample differential and
-# reproducibility suite (tests/train), the golden training digest, the
-# finite-difference gradchecks of every op (tests/nn/test_tensor.py, with
-# a planted perturbed VJP), the LSTM (tests/nn/test_rnn.py) and the
-# segment ops, the optimizer tests, the bit-exact oracles of the scatter
-# VJPs, CSR pack and Adam, and the tape-compiler wall (see
-# docs/RUNTIME.md "Training fast path").
+# Training wall: the packing and reproducibility suite (tests/train: a
+# ragged pack vs its graphs packed one at a time), the golden training
+# digest, the finite-difference gradchecks of the adapters' training route
+# (tests/train/test_adapter_gradcheck.py, with a planted scaled VJP), of
+# every op (tests/nn/test_tensor.py, with a planted perturbed VJP), the
+# LSTM (tests/nn/test_rnn.py) and the segment ops, the optimizer tests,
+# the bit-exact oracles of the scatter VJPs, CSR pack and Adam, and the
+# tape-compiler wall (see docs/RUNTIME.md "Training fast path").
 test-train:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/train/ \

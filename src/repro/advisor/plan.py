@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.oracle import classify_loop
 from repro.analysis.patterns import classify_all_patterns
 from repro.analysis.reduction import find_reductions
 from repro.analysis.suggestions import _bare, _is_inner_induction, render_pragma
@@ -378,8 +377,3 @@ def _render_clauses(clauses: Sequence[Clause]) -> str:
     if private:
         texts.append(f"private({', '.join(private)})")
     return render_pragma(texts)
-
-
-def loop_oracle(ir_program: IRProgram, report: ProfileReport, loop_id: str):
-    """Convenience: the oracle result the plan builder used for one loop."""
-    return classify_loop(ir_program, report, loop_id)

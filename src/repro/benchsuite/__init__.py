@@ -17,6 +17,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "templates": ("TEMPLATES", "TemplateContext"),
     "registry": (
         "TABLE_II_COUNTS", "SUITE_OF_APP",
-        "build_app", "build_suite", "build_all_apps", "app_names",
+        "build_app", "build_all_apps", "app_names",
     ),
 })

@@ -63,12 +63,5 @@ def build_app(name: str, seed_offset: int = 0) -> AppSpec:
     return spec
 
 
-def build_suite(suite: str, seed_offset: int = 0) -> List[AppSpec]:
-    apps = [n for n, s in SUITE_OF_APP.items() if s == suite]
-    if not apps:
-        raise DatasetError(f"unknown suite {suite!r}")
-    return [build_app(n, seed_offset) for n in apps]
-
-
 def build_all_apps(seed_offset: int = 0) -> List[AppSpec]:
     return [build_app(n, seed_offset) for n in app_names()]

@@ -12,9 +12,9 @@ Commands
     inference runtime (:mod:`repro.runtime`) and a throughput/cache summary
     is appended.
 ``train --app NAME``
-    Train an MV-GNN on an application's labeled loops through the batched
-    training path (``--per-sample`` selects the reference per-sample path)
-    and print the training curves plus epoch throughput.  Feature
+    Train an MV-GNN on an application's labeled loops (each minibatch one
+    packed forward/backward through a recorded tape) and print the training
+    curves plus epoch throughput.  Feature
     extraction goes through the runtime ``FeatureCache``, so a second run
     over the same app skips extraction entirely; ``--workers N`` fans the
     per-program extraction across processes.
@@ -396,17 +396,10 @@ def _cmd_train(args) -> int:
     adapter = MVGNNAdapter(config, rng=args.seed)
     train_config = TrainConfig(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
-        sortpool_k=8, seed=args.seed, batched=not args.per_sample,
-        compiled=not args.no_compile,
+        sortpool_k=8, seed=args.seed,
     )
-    if args.per_sample:
-        path = "per-sample (reference)"
-    elif args.no_compile:
-        path = "batched (eager autograd)"
-    else:
-        path = "batched (tape-compiled)"
     print(f"training MV-GNN: {train_config.epochs} epochs, "
-          f"batch_size={train_config.batch_size}, path={path}")
+          f"batch_size={train_config.batch_size}, path=batched (tape)")
     curves = train_model(
         adapter, LoopDataset(samples, name=spec.name), train_config,
         verbose=True,
@@ -805,16 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--batch-size", type=int, default=32,
         help="samples packed per forward/backward pass",
-    )
-    train.add_argument(
-        "--per-sample", action="store_true",
-        help="use the per-sample reference training path instead of the "
-             "batched fast path",
-    )
-    train.add_argument(
-        "--no-compile", action="store_true",
-        help="disable the tape-compiled forward/backward in the batched "
-             "path; use the eager autograd instead",
     )
     train.add_argument("--lr", type=float, default=2e-3)
     train.add_argument("--seed", type=int, default=0)

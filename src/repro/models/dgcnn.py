@@ -4,17 +4,19 @@ Architecture: a stack of graph convolutions with tanh activations whose
 outputs are concatenated channel-wise; SortPooling to a fixed ``k`` rows;
 two 1-D convolutions (the first with kernel = total channels and equal
 stride so each output position corresponds to one sorted node); max pooling;
-and a dense layer.  ``embed()`` returns the input of the final dense
+and a dense layer.  ``embed_batch()`` returns the input of the final dense
 classifier — the vector the multi-view model consumes ("We take the input of
 the fully connected layer into the multi-view model", Section III-D).
+
+There is one forward: the packed one.  It runs over the node rows of many
+graphs stacked in one block-diagonal batch (:mod:`repro.nn.batching`); a
+single graph is a pack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.nn.batching import pad_segments
@@ -26,7 +28,6 @@ from repro.nn.layers import (
     MaxPool1D,
     Module,
     SortPooling,
-    normalized_adjacency,
 )
 from repro.nn.tensor import Tensor, concat
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -99,72 +100,16 @@ class DGCNN(Module):
 
     # -- forward pieces -----------------------------------------------------
 
-    def node_representations(self, x, adjacency: np.ndarray) -> Tensor:
-        """Concatenated graph-conv outputs, shape (n, total_channels).
-
-        ``x`` may be an ndarray or a Tensor (the multi-view model feeds the
-        structural view's learned projection in as a live Tensor).
-        """
-        if x.shape[1] != self.config.in_features:
-            raise ModelError(
-                f"DGCNN expected {self.config.in_features} input features, "
-                f"got {x.shape[1]}"
-            )
-        adj_norm = normalized_adjacency(adjacency)
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        outputs: List[Tensor] = []
-        for conv in self.graph_convs:
-            h = conv(h, adj_norm)
-            outputs.append(h)
-        return concat(outputs, axis=1)
-
-    def pooled_sequence(self, x, adjacency: np.ndarray) -> Tensor:
-        """SortPooled node sequence, shape (k, total_channels)."""
-        return self.sortpool(self.node_representations(x, adjacency))
-
-    def embed(self, x, adjacency: np.ndarray) -> Tensor:
-        """The dense-layer output consumed by the multi-view model.
-
-        Shape contract: ``x`` is ``(n, in_features)`` node features for one
-        graph, ``adjacency`` its raw (un-normalized, no self-loops) square
-        ``(n, n)`` matrix; the result is a ``(dense_units,)`` vector.  For
-        classifying many graphs at once use :meth:`embed_batch`, which
-        computes the same vectors through one packed pass.
-        """
-        pooled = self.pooled_sequence(x, adjacency)
-        k, channels = pooled.shape
-        flat = pooled.reshape(k * channels, 1)
-        c1 = self.conv1(flat)          # (k, 16)
-        p1 = self.pool(c1)             # (k//2, 16)
-        if p1.shape[0] < self.config.conv1d_kernel:
-            p1 = p1.pad_rows(self.config.conv1d_kernel)
-        c2 = self.conv2(p1)            # (k//2 - 4, 32)
-        flat2 = c2.reshape(1, c2.shape[0] * c2.shape[1])
-        if flat2.shape[1] != self.flat_dim:
-            raise ModelError(
-                f"DGCNN flatten mismatch: got {flat2.shape[1]}, "
-                f"expected {self.flat_dim} (check sortpool_k)"
-            )
-        hidden = self.dense(flat2)     # (1, dense_units)
-        return self.dropout(hidden).reshape(self.config.dense_units)
-
-    def forward(self, x: np.ndarray, adjacency: np.ndarray) -> Tensor:
-        """Class logits for one graph."""
-        return self.classifier(self.embed(x, adjacency))
-
-    __call__ = forward
-
-    # -- batched (packed) pieces --------------------------------------------
-
     def node_representations_batch(self, x, adj_norm) -> Tensor:
         """Packed-batch graph convolutions, shape ``(N_nodes, total_channels)``.
 
         ``x`` stacks the node features of many graphs contiguously —
         ``(N_nodes, in_features)`` with ``N_nodes = sum(sizes)`` — and
         ``adj_norm`` is their *pre-normalized* block-diagonal adjacency
-        (:func:`repro.nn.batching.block_diagonal_adjacency`).  Unlike
-        :meth:`node_representations` this does not normalize: the batch
-        builder already applied ``D̃⁻¹Ã`` per block.
+        (:func:`repro.nn.batching.block_diagonal_adjacency`, or
+        :func:`repro.nn.layers.normalized_adjacency` for a single graph).
+        This does not normalize: the caller has already applied ``D̃⁻¹Ã``
+        per block.
         """
         if x.shape[1] != self.config.in_features:
             raise ModelError(
@@ -179,13 +124,14 @@ class DGCNN(Module):
         return concat(outputs, axis=1)
 
     def embed_batch(self, x, adj_norm, sizes: Sequence[int]) -> Tensor:
-        """Batched :meth:`embed`: one packed pass over ``len(sizes)`` graphs.
+        """The dense-layer output consumed by the multi-view model, one
+        packed pass over ``len(sizes)`` graphs.
 
         Shape contract: ``x`` is ``(sum(sizes), in_features)`` stacked node
         features (graph ``g`` at rows ``[offsets[g], offsets[g]+sizes[g])``),
         ``adj_norm`` the matching normalized block-diagonal adjacency; the
-        result is ``(len(sizes), dense_units)``, row ``g`` numerically equal
-        (to fp tolerance) to ``embed(x_g, adjacency_g)``.
+        result is ``(len(sizes), dense_units)``, row ``g`` equal (to fp
+        tolerance) to graph ``g`` packed alone.
         """
         num_graphs = len(sizes)
         if num_graphs == 0:

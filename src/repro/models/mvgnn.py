@@ -17,7 +17,7 @@ the prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,46 +96,6 @@ class MVGNN(Module):
             )
         return self.walk_reduce(self.walk_embed(as_tensor(x_structural)))
 
-    def view_embeddings(
-        self,
-        x_semantic: np.ndarray,
-        x_structural: np.ndarray,
-        adjacency: np.ndarray,
-    ) -> Tuple[Tensor, Tensor]:
-        """(h_n, h_s): the two per-view DGCNN representations."""
-        h_n = self.node_dgcnn.embed(x_semantic, adjacency)
-        struct_nodes = self.structural_input(x_structural)
-        h_s = self.struct_dgcnn.embed(struct_nodes, adjacency)
-        return h_n, h_s
-
-    # -- fusion ---------------------------------------------------------------------
-
-    def forward(
-        self,
-        x_semantic: np.ndarray,
-        x_structural: np.ndarray,
-        adjacency: np.ndarray,
-    ) -> Tensor:
-        """Class logits for one loop sub-PEG.
-
-        Shape contract: ``x_semantic`` is ``(n, semantic_features)`` node
-        features, ``x_structural`` is ``(n, walk_types)`` anonymous-walk
-        distributions, ``adjacency`` the raw undirected ``(n, n)`` matrix
-        (normalization happens inside the per-view DGCNNs); the result is a
-        ``(num_classes,)`` logit vector.  For throughput-oriented workloads
-        prefer :meth:`forward_batch` / :class:`repro.runtime.Engine`, which
-        amortize one numpy-level pass over many sub-PEGs.
-        """
-        h_n, h_s = self.view_embeddings(x_semantic, x_structural, adjacency)
-        fused = self.fusion(concat([h_n, h_s], axis=0).tanh())
-        if self.head is not None:
-            fused = self.head(fused.relu())
-        return fused
-
-    __call__ = forward
-
-    # -- batched (packed) path ----------------------------------------------
-
     def view_embeddings_batch(
         self,
         x_semantic,
@@ -156,6 +116,8 @@ class MVGNN(Module):
         h_s = self.struct_dgcnn.embed_batch(struct_nodes, adj_norm, sizes)
         return h_n, h_s
 
+    # -- fusion ---------------------------------------------------------------------
+
     def forward_batch(
         self,
         x_semantic,
@@ -165,9 +127,12 @@ class MVGNN(Module):
     ) -> Tensor:
         """Class logits for a packed batch, shape ``(len(sizes), num_classes)``.
 
-        Row ``g`` equals (to fp tolerance) ``forward`` on graph ``g`` alone;
-        the Eq. 5 fusion runs once on the ``(B, 2 * dense_units)`` stacked
-        view embeddings.
+        Shape contract: ``x_semantic`` is ``(N, semantic_features)`` node
+        features, ``x_structural`` ``(N, walk_types)`` anonymous-walk
+        distributions, ``N = sum(sizes)``; ``adj_norm`` is the normalized
+        block-diagonal adjacency.  Row ``g`` equals (to fp tolerance) graph
+        ``g`` packed alone; the Eq. 5 fusion runs once on the
+        ``(B, 2 * dense_units)`` stacked view embeddings.
         """
         h_n, h_s = self.view_embeddings_batch(
             x_semantic, x_structural, adj_norm, sizes

@@ -88,8 +88,9 @@ def pad_segments(
 
     ``x`` is ``(num_segments * length, channels)``; the result is
     ``(num_segments * target, channels)`` with segment ``g``'s rows at
-    ``[g*target, g*target + length)`` and zeros after — the packed
-    equivalent of ``Tensor.pad_rows`` applied per graph.
+    ``[g*target, g*target + length)`` and zeros after.  The DGCNN uses it
+    when SortPooling's ``k`` leaves fewer pooled rows than the second 1-D
+    convolution's kernel.
     """
     x = as_tensor(x)
     if x.shape[0] != num_segments * length:

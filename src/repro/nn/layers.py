@@ -200,26 +200,17 @@ class SortPooling(Module):
             raise ModelError("SortPooling k must be positive")
         self.k = k
 
-    def __call__(self, h: Tensor) -> Tensor:
-        n = h.shape[0]
-        # descending sort by last channel; stable for reproducibility
-        order = np.argsort(-h.data[:, -1], kind="stable")
-        if n >= self.k:
-            selected = h.take_rows(order[: self.k])
-            return selected
-        selected = h.take_rows(order)
-        return selected.pad_rows(self.k)
-
     def segment_call(self, h: Tensor, sizes: Sequence[int]) -> Tensor:
         """Per-segment SortPooling over a packed node matrix.
 
         ``h`` is ``(sum(sizes), channels)`` — the node rows of ``len(sizes)``
         graphs stacked contiguously; segment ``g`` occupies rows
         ``[offset_g, offset_g + sizes[g])``.  Each segment is sorted and
-        truncated/zero-padded independently, exactly like the per-graph
-        ``__call__``, and the results are restacked: the output is
-        ``(len(sizes) * k, channels)`` with graph ``g`` at rows
-        ``[g*k, (g+1)*k)``.
+        truncated/zero-padded independently (a stable descending sort on the
+        last channel, the top ``k`` rows, zero rows below), and the results
+        are restacked: the output is ``(len(sizes) * k, channels)`` with
+        graph ``g`` at rows ``[g*k, (g+1)*k)``.  One graph is
+        ``sizes=[n]``.
         """
         h = as_tensor(h)
         total = int(sum(sizes))
@@ -235,7 +226,7 @@ class SortPooling(Module):
 
 
 class Conv1D(Module):
-    """1-D convolution over a (length, channels) input, stride support.
+    """1-D convolution over packed (length, channels) segments, stride support.
 
     Implemented with an unfold + matmul so the whole op stays on BLAS; the
     DGCNN uses kernel = total channel count with equal stride (one output
@@ -263,27 +254,6 @@ class Conv1D(Module):
         self.out_channels = out_channels
         self.activation = activation
 
-    def __call__(self, x: Tensor) -> Tensor:
-        length, channels = x.shape
-        if channels != self.in_channels:
-            raise ModelError(
-                f"Conv1D expected {self.in_channels} channels, got {channels}"
-            )
-        n_out = (length - self.kernel_size) // self.stride + 1
-        if n_out <= 0:
-            raise ModelError(
-                f"Conv1D input length {length} too short for kernel "
-                f"{self.kernel_size} / stride {self.stride}"
-            )
-        # gather patch rows: indices (n_out, kernel) into the length axis
-        starts = np.arange(n_out) * self.stride
-        patch_rows = starts[:, None] + np.arange(self.kernel_size)[None, :]
-        patches = x.take_rows(patch_rows.reshape(-1)).reshape(
-            n_out, self.kernel_size * channels
-        )
-        out = patches @ self.weight + self.bias
-        return _activate(out, self.activation)
-
     def segment_call(self, x: Tensor, num_segments: int, length: int) -> Tensor:
         """Apply the convolution independently per contiguous segment.
 
@@ -292,8 +262,8 @@ class Conv1D(Module):
         straddle a segment boundary; the output is
         ``(num_segments * n_out, out_channels)`` with
         ``n_out = (length - kernel) // stride + 1``, segment ``g`` at rows
-        ``[g*n_out, (g+1)*n_out)`` — row-for-row identical to calling the
-        layer on each segment separately.
+        ``[g*n_out, (g+1)*n_out)`` — row-for-row identical to running each
+        segment alone.
         """
         x = as_tensor(x)
         if x.shape != (num_segments * length, self.in_channels):
@@ -322,7 +292,7 @@ class Conv1D(Module):
 
 
 class MaxPool1D(Module):
-    """Max pooling over the length axis of a (length, channels) input."""
+    """Max pooling over the length axis of packed (length, channels) segments."""
 
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
@@ -330,22 +300,14 @@ class MaxPool1D(Module):
             raise ModelError("pool_size must be positive")
         self.pool_size = pool_size
 
-    def __call__(self, x: Tensor) -> Tensor:
-        length, channels = x.shape
-        n_out = length // self.pool_size
-        if n_out == 0:
-            return x  # shorter than one window: identity (graph too small)
-        trimmed = x[: n_out * self.pool_size]
-        windows = trimmed.reshape(n_out, self.pool_size, channels)
-        return windows.max(axis=1)
-
     def segment_call(self, x: Tensor, num_segments: int, length: int) -> Tensor:
         """Pool each contiguous length-``length`` segment independently.
 
         ``x`` is ``(num_segments * length, channels)``; the output is
         ``(num_segments * n_out, channels)`` with ``n_out = length // pool``
-        (identity when ``length < pool``, matching ``__call__``), segment
-        ``g`` at rows ``[g*n_out, (g+1)*n_out)``.
+        (identity when ``length < pool``: the graph is too small for one
+        window), segment ``g`` at rows ``[g*n_out, (g+1)*n_out)``; a tail
+        shorter than one window is dropped.
         """
         x = as_tensor(x)
         channels = x.shape[1]

@@ -239,15 +239,6 @@ class Tensor:
         indices = np.asarray(indices, dtype=np.int64)
         return apply(_GATHER, (self,), {"indices": indices})
 
-    def pad_rows(self, total_rows: int) -> "Tensor":
-        """Zero-pad along axis 0 up to ``total_rows`` (SortPooling padding)."""
-        rows, cols = self.data.shape
-        if rows > total_rows:
-            raise ModelError(f"cannot pad {rows} rows down to {total_rows}")
-        if rows == total_rows:
-            return self
-        return concat([self, Tensor(np.zeros((total_rows - rows, cols)))], axis=0)
-
 
 _ADD, _SUB, _MUL, _DIV, _MATMUL = (
     PRIMITIVES[name] for name in ("add", "sub", "mul", "div", "matmul")

@@ -1,11 +1,11 @@
 """GraphBatch: pack N loop sub-PEGs into one block-diagonal model input.
 
-The per-graph model path (:meth:`repro.models.mvgnn.MVGNN.forward`) pays
-Python-level overhead — dozens of small Tensor ops — for every loop it
-classifies.  A :class:`GraphBatch` stacks the node-feature matrices of many
-graphs contiguously ("packed" layout) and joins their adjacencies into one
-normalized block-diagonal sparse matrix, so the batched model paths
-(``forward_batch``) replace N Python-level passes with one numpy-level pass.
+A forward pays Python-level overhead — dozens of small Tensor ops — per
+call, whatever its size.  A :class:`GraphBatch` stacks the node-feature
+matrices of many graphs contiguously ("packed" layout) and joins their
+adjacencies into one normalized block-diagonal sparse matrix, so the
+models' packed forward (``forward_batch``) covers N graphs in one
+numpy-level pass.
 
 Layout: graph ``g`` with ``sizes[g]`` nodes owns rows
 ``[offsets[g], offsets[g] + sizes[g])`` of every stacked matrix; blocks never

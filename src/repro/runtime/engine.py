@@ -202,7 +202,7 @@ class Engine:
         """``(len(loops), num_classes)`` logits, batched forward passes.
 
         Output row ``i`` corresponds to ``loops[i]`` regardless of batch
-        boundaries, and equals the per-graph ``model.forward`` logits to
+        boundaries, and equals the logits of ``loops[i]`` packed alone to
         floating-point tolerance (exactly, at ``precision="exact"``).
         ``precision`` overrides the engine default for this call.
         """

@@ -1,9 +1,12 @@
 """Model adapters: a uniform train/predict interface over heterogeneous
-models (per-graph GNNs, the batched-LSTM NCC, single-view ablations).
+models (the packed graph GNNs, the batched-LSTM NCC, single-view ablations).
 
 An adapter owns its model plus any input preprocessing (which features a
 model sees is part of the baseline's definition — e.g. Static-GNN gets the
-dynamic columns zeroed).
+dynamic columns zeroed).  Each adapter has exactly one training route,
+:meth:`ModelAdapter.loss_and_correct_batched`: the graph adapters run the
+packed minibatch through a recorded tape, the LSTM ablation loops over its
+samples, and NCC runs its batched LSTM.
 """
 
 from __future__ import annotations
@@ -36,40 +39,19 @@ from repro.utils.rng import RngLike
 
 
 class ModelAdapter:
-    """Uniform interface the trainer drives.
-
-    ``loss_and_correct`` is the per-sample *reference* implementation;
-    adapters with a packed fast path additionally set
-    ``supports_batched_training`` and implement
-    :meth:`loss_and_correct_batched`, which must agree with the reference
-    on loss, correct count, and every parameter gradient to floating-point
-    tolerance (differentially tested in
-    ``tests/train/test_batched_training.py``).
-    """
+    """Uniform interface the trainer drives."""
 
     name = "model"
-    supports_batched_training = False
-    #: adapters whose packed forward can be trace-compiled set this; the
-    #: trainer then flips ``compiled`` from ``TrainConfig.compiled``
-    supports_compiled_training = False
 
     @property
     def module(self) -> Module:
         raise NotImplementedError
 
-    def loss_and_correct(self, batch: Sequence[LoopSample], temperature: float):
-        """(summed loss Tensor, #correct) for one minibatch."""
-        raise NotImplementedError
-
     def loss_and_correct_batched(
         self, batch: Sequence[LoopSample], temperature: float
     ):
-        """Packed-minibatch counterpart of :meth:`loss_and_correct`.
-
-        Default: delegate to the per-sample reference path, so the trainer
-        can call this unconditionally when ``TrainConfig.batched`` is on.
-        """
-        return self.loss_and_correct(batch, temperature)
+        """(loss Tensor summed over the minibatch, #correct)."""
+        raise NotImplementedError
 
     def predict(self, samples: Iterable[LoopSample]) -> np.ndarray:
         """Predicted labels without recording gradients."""
@@ -109,39 +91,23 @@ class _PreparedGraph:
 
 
 class _PerGraphAdapter(ModelAdapter):
-    """Base for models scoring one graph at a time.
+    """Base for the graph models: each minibatch is one block-diagonal pack
+    of its sub-PEGs, run forward and backward through a recorded tape.
 
-    Subclasses opting into the packed training path set
-    ``supports_batched_training = True`` and implement
-    :meth:`_batch_logits`; the input-preparation cache here plays the same
-    role for training that :class:`repro.runtime.features.FeatureCache`
-    plays for inference — per-sample work (input transforms, adjacency
-    normalization) is paid once, not once per epoch.  Keys are
-    ``sample_id``, which the dataset pipeline guarantees identify content.
+    The input-preparation cache here plays the same role for training that
+    :class:`repro.runtime.features.FeatureCache` plays for inference —
+    per-sample work (input transforms, adjacency normalization) is paid
+    once, not once per epoch.  Keys are ``sample_id``, which the dataset
+    pipeline guarantees identify content.
     """
 
     def __init__(self) -> None:
         self._prepared: Dict[str, _PreparedGraph] = {}
-        # tape-compiled packed forward/backward (see repro.runtime.tape):
-        # one recording per (graph count, train/eval mode) shape class
-        self.compiled = False
+        # the packed forward/backward (see repro.runtime.tape): one
+        # recording per (graph count, train/eval mode) shape class
         self._tapes: Dict[tuple, Tape] = {}
 
-    def _logits(self, sample: LoopSample) -> Tensor:
-        raise NotImplementedError
-
-    def loss_and_correct(self, batch, temperature):
-        total = None
-        correct = 0
-        for sample in batch:
-            logits = self._logits(sample)
-            loss = softmax_cross_entropy(logits, sample.label, temperature)
-            total = loss if total is None else total + loss
-            if int(np.argmax(logits.data)) == sample.label:
-                correct += 1
-        return total, correct
-
-    # -- packed fast path ----------------------------------------------------
+    # -- packing -------------------------------------------------------------
 
     def _semantic_input(self, sample: LoopSample) -> np.ndarray:
         """The node-feature matrix this model consumes (hook for subclasses)."""
@@ -169,21 +135,18 @@ class _PerGraphAdapter(ModelAdapter):
             pre_normalized=True,
         )
 
-    def _batch_logits(self, pack: GraphBatch) -> Tensor:
-        """``(num_graphs, num_classes)`` logits for one packed minibatch."""
-        raise NotImplementedError
-
-    # -- tape-compiled fast path --------------------------------------------
+    # -- tape ----------------------------------------------------------------
 
     def _trace_batch(self, pack: GraphBatch) -> Tape:
-        """Record this adapter's packed forward (compiled adapters only)."""
+        """Record this adapter's packed forward."""
         raise NotImplementedError
 
     def _tape_bindings(self, pack: GraphBatch) -> Dict[str, object]:
         raise NotImplementedError
 
     def _batch_logits_compiled(self, pack: GraphBatch) -> Tensor:
-        """Tape-executed logits whose backward runs the mechanical VJP sweep.
+        """``(num_graphs, num_classes)`` tape-executed logits whose backward
+        runs the mechanical VJP sweep.
 
         The returned Tensor is a graph *leaf* carrying a backward hook: when
         the loss backpropagates into it, :meth:`repro.runtime.tape.Tape.backward`
@@ -205,15 +168,8 @@ class _PerGraphAdapter(ModelAdapter):
             np.array(out), requires_grad=True, _parents=(), _backward=backward
         )
 
-    def _packed_logits(self, pack: GraphBatch) -> Tensor:
-        if self.compiled and self.supports_compiled_training:
-            return self._batch_logits_compiled(pack)
-        return self._batch_logits(pack)
-
     def loss_and_correct_batched(self, batch, temperature):
-        if not self.supports_batched_training:
-            return self.loss_and_correct(batch, temperature)
-        logits = self._packed_logits(self._pack(batch))
+        logits = self._batch_logits_compiled(self._pack(batch))
         labels = np.array([s.label for s in batch], dtype=np.int64)
         loss = softmax_cross_entropy_batch(
             logits, labels, temperature, reduction="sum"
@@ -226,16 +182,10 @@ class _PerGraphAdapter(ModelAdapter):
         samples = list(samples)
         out = np.zeros(len(samples), dtype=np.int64)
         with no_grad():
-            if self.supports_batched_training:
-                for start in range(0, len(samples), 32):
-                    chunk = samples[start : start + 32]
-                    logits = self._packed_logits(self._pack(chunk))
-                    out[start : start + len(chunk)] = np.argmax(
-                        logits.data, axis=1
-                    )
-            else:
-                for pos, sample in enumerate(samples):
-                    out[pos] = int(np.argmax(self._logits(sample).data))
+            for start in range(0, len(samples), 32):
+                chunk = samples[start : start + 32]
+                logits = self._batch_logits_compiled(self._pack(chunk))
+                out[start : start + len(chunk)] = np.argmax(logits.data, axis=1)
         self.module.train()
         return out
 
@@ -244,8 +194,6 @@ class MVGNNAdapter(_PerGraphAdapter):
     """The paper's multi-view model."""
 
     name = "MV-GNN"
-    supports_batched_training = True
-    supports_compiled_training = True
 
     def __init__(self, config: MVGNNConfig, rng: RngLike = None) -> None:
         super().__init__()
@@ -254,14 +202,6 @@ class MVGNNAdapter(_PerGraphAdapter):
     @property
     def module(self) -> Module:
         return self.model
-
-    def _logits(self, sample: LoopSample) -> Tensor:
-        return self.model(sample.x_semantic, sample.x_structural, sample.adjacency)
-
-    def _batch_logits(self, pack: GraphBatch) -> Tensor:
-        return self.model.forward_batch(
-            pack.x_semantic, pack.x_structural, pack.adj_norm, pack.sizes
-        )
 
     def _trace_batch(self, pack: GraphBatch) -> Tape:
         return trace_mvgnn_forward(
@@ -282,8 +222,6 @@ class DGCNNAdapter(_PerGraphAdapter):
     """Node-feature-view DGCNN alone (full semantic features)."""
 
     name = "DGCNN"
-    supports_batched_training = True
-    supports_compiled_training = True
 
     def __init__(self, config: DGCNNConfig, rng: RngLike = None) -> None:
         super().__init__()
@@ -292,14 +230,6 @@ class DGCNNAdapter(_PerGraphAdapter):
     @property
     def module(self) -> Module:
         return self.model
-
-    def _logits(self, sample: LoopSample) -> Tensor:
-        return self.model(sample.x_semantic, sample.adjacency)
-
-    def _batch_logits(self, pack: GraphBatch) -> Tensor:
-        return self.model.forward_batch(
-            pack.x_semantic, pack.adj_norm, pack.sizes
-        )
 
     def _trace_batch(self, pack: GraphBatch) -> Tape:
         return trace_dgcnn_forward(
@@ -331,15 +261,12 @@ class StaticGNNAdapter(DGCNNAdapter):
         x[:, -self.n_dynamic :] = 0.0
         return x
 
-    def _logits(self, sample: LoopSample) -> Tensor:
-        return self.model(self._semantic_input(sample), sample.adjacency)
 
-
-class SingleViewAdapter(_PerGraphAdapter):
+class SingleViewAdapter(ModelAdapter):
     """One view + LSTM + dense (the Fig. 8 importance setup).
 
-    The LSTM head has no packed path, so this adapter always trains through
-    the per-sample reference implementation.
+    The LSTM head has no packed path: this adapter trains and predicts one
+    sample at a time.
     """
 
     def __init__(
@@ -349,7 +276,6 @@ class SingleViewAdapter(_PerGraphAdapter):
         walk_types: int = 0,
         rng: RngLike = None,
     ) -> None:
-        super().__init__()
         self.view = view
         self.name = f"view:{view}"
         self.model = SingleViewModel(view, dgcnn_config, rng=rng)
@@ -369,6 +295,27 @@ class SingleViewAdapter(_PerGraphAdapter):
             else sample.x_structural
         )
         return self.model(x, sample.adjacency)
+
+    def loss_and_correct_batched(self, batch, temperature):
+        total = None
+        correct = 0
+        for sample in batch:
+            logits = self._logits(sample)
+            loss = softmax_cross_entropy(logits, sample.label, temperature)
+            total = loss if total is None else total + loss
+            if int(np.argmax(logits.data)) == sample.label:
+                correct += 1
+        return total, correct
+
+    def predict(self, samples) -> np.ndarray:
+        self.module.eval()
+        with no_grad():
+            out = np.array(
+                [int(np.argmax(self._logits(s).data)) for s in samples],
+                dtype=np.int64,
+            )
+        self.module.train()
+        return out
 
 
 class NCCAdapter(ModelAdapter):
@@ -401,7 +348,7 @@ class NCCAdapter(ModelAdapter):
             self._cache[sample.sample_id] = seq
         return seq
 
-    def loss_and_correct(self, batch, temperature):
+    def loss_and_correct_batched(self, batch, temperature):
         sequences = [self._sequence(s) for s in batch]
         labels = np.array([s.label for s in batch], dtype=np.int64)
         logits = self.model.forward_batch(sequences)

@@ -7,11 +7,8 @@ CPU-friendly default used by the benchmark harness (fewer epochs, a higher
 learning rate to converge within them, a smaller SortPooling k matched to
 our sub-PEG sizes) — EXPERIMENTS.md records both.
 
-``batched`` (default on) routes minibatches through the adapters' packed
-fast path — one forward/backward per minibatch over a block-diagonal pack
-instead of one per sample; differential tests pin both paths to the same
-losses and gradients, and ``batched=False`` keeps the per-sample reference
-implementation reachable.
+The training route is not configurable: each adapter has one (see
+:mod:`repro.train.adapters`).
 """
 
 from __future__ import annotations
@@ -32,14 +29,6 @@ class TrainConfig:
     max_train_samples: int = 0        # 0 = use everything
     eval_every: int = 1               # record curves every N epochs
     grad_clip: float = 5.0
-    batched: bool = True              # pack minibatches (one forward/backward
-                                      # per minibatch); False = per-sample
-                                      # reference path
-    compiled: bool = True             # trace-compile the packed forward into
-                                      # a repro.runtime.tape program whose
-                                      # backward is derived mechanically;
-                                      # False = eager autograd (only
-                                      # meaningful when batched is on)
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

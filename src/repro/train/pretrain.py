@@ -27,6 +27,7 @@ import numpy as np
 from repro.dataset.types import LoopDataset, LoopSample
 from repro.errors import ConfigError
 from repro.models.dgcnn import DGCNN
+from repro.nn.layers import normalized_adjacency
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import RngLike, ensure_rng
@@ -80,7 +81,9 @@ def graphsage_unsupervised_loss(
     )
     if not pairs:
         return None
-    z = dgcnn.node_representations(x, sample.adjacency)  # (n, channels)
+    z = dgcnn.node_representations_batch(
+        x, normalized_adjacency(sample.adjacency)
+    )  # (n, channels)
 
     anchors = np.array([p[0] for p in pairs])
     positives = np.array([p[1] for p in pairs])

@@ -4,12 +4,10 @@ Per epoch: shuffle, minibatch, accumulate summed loss, one Adam step per
 minibatch (loss scaled by batch size).  Records train loss/accuracy and,
 optionally, held-out accuracy per ``eval_every`` epochs.
 
-With ``TrainConfig.batched`` (the default) each minibatch runs through the
-adapter's packed fast path — ``loss_and_correct_batched`` — so one
-forward/backward covers the whole minibatch; ``batched=False`` drives the
-per-sample reference path instead.  Both paths step the optimizer on the
-same summed-loss-over-batch-size gradient and agree to floating-point
-tolerance (``tests/train/test_batched_training.py``).
+Each minibatch goes through the adapter's one training route,
+``loss_and_correct_batched``: for the graph models one packed
+forward/backward through a recorded tape covers the whole minibatch.  The
+optimizer steps on the summed loss divided by the batch size.
 """
 
 from __future__ import annotations
@@ -65,15 +63,6 @@ def train_model(
     optimizer = Adam(
         adapter.module.parameters(), lr=config.lr, clip=config.grad_clip
     )
-    # opt the adapter into the tape-compiled packed path (no-op for
-    # adapters without one, and for the per-sample reference path)
-    if hasattr(adapter, "compiled"):
-        adapter.compiled = bool(config.batched and config.compiled)
-    step_loss = (
-        adapter.loss_and_correct_batched
-        if config.batched
-        else adapter.loss_and_correct
-    )
     curves = TrainingCurves()
     start = time.perf_counter()
     adapter.module.train()
@@ -96,7 +85,9 @@ def train_model(
                 for i in order[batch_start : batch_start + config.batch_size]
             ]
             optimizer.zero_grad()
-            loss, correct = step_loss(batch, config.temperature)
+            loss, correct = adapter.loss_and_correct_batched(
+                batch, config.temperature
+            )
             (loss * (1.0 / len(batch))).backward()
             optimizer.step()
             epoch_loss += loss.item()

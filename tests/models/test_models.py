@@ -1,4 +1,8 @@
-"""Model architectures: shapes, gradient flow, overfit sanity checks."""
+"""Model architectures: shapes, gradient flow, overfit sanity checks.
+
+The graph models have one forward, the packed ``forward_batch``; the cases
+here run it on one-graph packs.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
 from repro.models.ncc import NCC, NCCConfig
 from repro.models.single_view import SingleViewModel
-from repro.nn.functional import softmax_cross_entropy, softmax_cross_entropy_batch
+from repro.nn.batching import block_diagonal_adjacency
+from repro.nn.functional import softmax_cross_entropy_batch
 from repro.nn.optim import Adam
 
 
@@ -17,6 +22,19 @@ def _graph(rng, n=8, features=12):
     adj = np.maximum(adj, adj.T)
     np.fill_diagonal(adj, 0.0)
     return rng.normal(size=(n, features)), adj
+
+
+def _pack_of_one(adj):
+    """(normalized adjacency, sizes) of a one-graph pack."""
+    return block_diagonal_adjacency([adj]), [adj.shape[0]]
+
+
+def dgcnn_logits(model, x, adj):
+    return model.forward_batch(x, *_pack_of_one(adj))
+
+
+def mvgnn_logits(model, x, walks, adj):
+    return model.forward_batch(x, walks, *_pack_of_one(adj))
 
 
 @pytest.fixture(scope="module")
@@ -31,34 +49,36 @@ class TestDGCNN:
     def test_logit_shape(self, rng_mod):
         model = DGCNN(self._config(), rng=0)
         x, adj = _graph(rng_mod)
-        assert model(x, adj).shape == (2,)
+        assert dgcnn_logits(model, x, adj).shape == (1, 2)
 
     def test_embed_shape_matches_dense_units(self, rng_mod):
         config = self._config()
         model = DGCNN(config, rng=0)
         x, adj = _graph(rng_mod)
-        assert model.embed(x, adj).shape == (config.dense_units,)
+        assert model.embed_batch(x, *_pack_of_one(adj)).shape == (
+            1, config.dense_units,
+        )
 
     def test_wrong_feature_width_rejected(self, rng_mod):
         model = DGCNN(self._config(), rng=0)
         x, adj = _graph(rng_mod, features=5)
         with pytest.raises(ModelError):
-            model(x, adj)
+            dgcnn_logits(model, x, adj)
 
     def test_tiny_graph_padded(self, rng_mod):
         model = DGCNN(self._config(), rng=0)
         x, adj = _graph(rng_mod, n=2)
-        assert model(x, adj).shape == (2,)
+        assert dgcnn_logits(model, x, adj).shape == (1, 2)
 
     def test_large_graph_truncated(self, rng_mod):
         model = DGCNN(self._config(), rng=0)
         x, adj = _graph(rng_mod, n=40)
-        assert model(x, adj).shape == (2,)
+        assert dgcnn_logits(model, x, adj).shape == (1, 2)
 
     def test_gradients_reach_first_conv(self, rng_mod):
         model = DGCNN(self._config(), rng=0)
         x, adj = _graph(rng_mod)
-        softmax_cross_entropy(model(x, adj), 1).backward()
+        softmax_cross_entropy_batch(dgcnn_logits(model, x, adj), [1]).backward()
         assert model.graph_convs[0].weight.grad is not None
         assert np.abs(model.graph_convs[0].weight.grad).sum() > 0
 
@@ -66,8 +86,8 @@ class TestDGCNN:
         model = DGCNN(self._config(), rng=0)
         model.eval()
         x, adj = _graph(rng_mod)
-        a = model(x, adj).data
-        b = model(x, adj).data
+        a = dgcnn_logits(model, x, adj).data
+        b = dgcnn_logits(model, x, adj).data
         np.testing.assert_array_equal(a, b)
 
     def test_overfits_small_set(self):
@@ -84,13 +104,15 @@ class TestDGCNN:
             opt.zero_grad()
             total = None
             for x, adj, label in data:
-                loss = softmax_cross_entropy(model(x, adj), label)
+                loss = softmax_cross_entropy_batch(
+                    dgcnn_logits(model, x, adj), [label]
+                )
                 total = loss if total is None else total + loss
             total.backward()
             opt.step()
         model.eval()
         correct = sum(
-            int(np.argmax(model(x, adj).data) == label)
+            int(np.argmax(dgcnn_logits(model, x, adj).data) == label)
             for x, adj, label in data
         )
         assert correct == len(data)
@@ -111,20 +133,22 @@ class TestMVGNN:
         model = MVGNN(self._config(), rng=0)
         x, adj = _graph(rng_mod)
         walks = rng_mod.dirichlet(np.ones(5), size=x.shape[0])
-        assert model(x, walks, adj).shape == (2,)
+        assert mvgnn_logits(model, x, walks, adj).shape == (1, 2)
 
     def test_wrong_walk_width_rejected(self, rng_mod):
         model = MVGNN(self._config(), rng=0)
         x, adj = _graph(rng_mod)
         with pytest.raises(ModelError):
-            model(x, rng_mod.dirichlet(np.ones(9), size=x.shape[0]), adj)
+            mvgnn_logits(
+                model, x, rng_mod.dirichlet(np.ones(9), size=x.shape[0]), adj
+            )
 
     def test_view_embeddings_distinct(self, rng_mod):
         model = MVGNN(self._config(), rng=0)
         model.eval()
         x, adj = _graph(rng_mod)
         walks = rng_mod.dirichlet(np.ones(5), size=x.shape[0])
-        h_n, h_s = model.view_embeddings(x, walks, adj)
+        h_n, h_s = model.view_embeddings_batch(x, walks, *_pack_of_one(adj))
         assert h_n.shape == h_s.shape
         assert np.abs(h_n.data - h_s.data).sum() > 1e-6
 
@@ -132,7 +156,9 @@ class TestMVGNN:
         model = MVGNN(self._config(), rng=0)
         x, adj = _graph(rng_mod)
         walks = rng_mod.dirichlet(np.ones(5), size=x.shape[0])
-        softmax_cross_entropy(model(x, walks, adj), 0, 0.5).backward()
+        softmax_cross_entropy_batch(
+            mvgnn_logits(model, x, walks, adj), [0], 0.5
+        ).backward()
         # the per-view DGCNN classifier heads are intentionally unused in
         # multi-view mode (fusion consumes the dense-layer embeddings)
         unused = {
@@ -153,7 +179,7 @@ class TestMVGNN:
         model = MVGNN(config, rng=0)
         x, adj = _graph(rng_mod)
         walks = rng_mod.dirichlet(np.ones(5), size=x.shape[0])
-        assert model(x, walks, adj).shape == (2,)
+        assert mvgnn_logits(model, x, walks, adj).shape == (1, 2)
 
 
 class TestNCC:

@@ -83,17 +83,19 @@ class TestGraphConv:
 
 
 class TestSortPooling:
+    """One graph is a one-segment pack: ``segment_call(h, [n])``."""
+
     def test_truncates_to_k(self):
         pool = SortPooling(2)
         h = Tensor(np.array([[1.0, 0.1], [2.0, 0.9], [3.0, 0.5]]))
-        out = pool(h)
+        out = pool.segment_call(h, [3])
         assert out.shape == (2, 2)
         # sorted descending by last channel: rows with 0.9 then 0.5
         np.testing.assert_allclose(out.data[:, 1], [0.9, 0.5])
 
     def test_pads_small_graphs(self):
         pool = SortPooling(5)
-        out = pool(Tensor(np.ones((2, 3))))
+        out = pool.segment_call(Tensor(np.ones((2, 3))), [2])
         assert out.shape == (5, 3)
         np.testing.assert_allclose(out.data[2:], 0.0)
 
@@ -104,49 +106,55 @@ class TestSortPooling:
     def test_gradient_flows_through_selection(self):
         pool = SortPooling(2)
         param = Parameter(np.array([[1.0, 0.1], [2.0, 0.9], [3.0, 0.5]]))
-        pool(param).sum().backward()
+        pool.segment_call(param, [3]).sum().backward()
         assert param.grad is not None
         # unselected row (last channel 0.1) receives zero gradient
         np.testing.assert_allclose(param.grad[0], 0.0)
 
 
 class TestConv1D:
+    """One sequence is a one-segment pack: ``segment_call(x, 1, length)``."""
+
     def test_output_length(self):
         conv = Conv1D(2, 4, kernel_size=3, stride=1, rng=0)
-        out = conv(Tensor(np.ones((10, 2))))
+        out = conv.segment_call(Tensor(np.ones((10, 2))), 1, 10)
         assert out.shape == (8, 4)
 
     def test_stride_equals_kernel(self):
         conv = Conv1D(1, 4, kernel_size=5, stride=5, rng=0)
-        out = conv(Tensor(np.ones((20, 1))))
+        out = conv.segment_call(Tensor(np.ones((20, 1))), 1, 20)
         assert out.shape == (4, 4)
 
     def test_too_short_input_rejected(self):
         conv = Conv1D(1, 2, kernel_size=5, rng=0)
         with pytest.raises(ModelError):
-            conv(Tensor(np.ones((3, 1))))
+            conv.segment_call(Tensor(np.ones((3, 1))), 1, 3)
 
     def test_channel_mismatch_rejected(self):
         conv = Conv1D(2, 2, kernel_size=2, rng=0)
         with pytest.raises(ModelError):
-            conv(Tensor(np.ones((5, 3))))
+            conv.segment_call(Tensor(np.ones((5, 3))), 1, 5)
 
 
 class TestMaxPool1D:
+    """One sequence is a one-segment pack: ``segment_call(x, 1, length)``."""
+
     def test_halves_length(self):
         pool = MaxPool1D(2)
-        out = pool(Tensor(np.arange(12.0).reshape(6, 2)))
+        out = pool.segment_call(Tensor(np.arange(12.0).reshape(6, 2)), 1, 6)
         assert out.shape == (3, 2)
 
     def test_short_input_identity(self):
         pool = MaxPool1D(4)
         x = Tensor(np.ones((2, 3)))
-        assert pool(x).shape == (2, 3)
+        assert pool.segment_call(x, 1, 2).shape == (2, 3)
 
     def test_picks_maxima(self):
         pool = MaxPool1D(2)
         x = Tensor(np.array([[1.0], [5.0], [2.0], [3.0]]))
-        np.testing.assert_allclose(pool(x).data[:, 0], [5.0, 3.0])
+        np.testing.assert_allclose(
+            pool.segment_call(x, 1, 4).data[:, 0], [5.0, 3.0]
+        )
 
 
 class TestDropout:

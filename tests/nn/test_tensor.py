@@ -121,9 +121,6 @@ class TestShapeGrads:
         rows = np.array([0, 2, 2])
         check_grad(lambda t: t.take_rows(rows).sum(), x)
 
-    def test_pad_rows(self, x):
-        check_grad(lambda t: (t.pad_rows(7) ** 2.0).sum(), x)
-
     def test_concat(self, x):
         check_grad(lambda t: concat([t, t * 2.0], axis=1).sum(), x)
 

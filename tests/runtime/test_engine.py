@@ -1,4 +1,4 @@
-"""Batched runtime: GraphBatch packing, batched-vs-per-graph equivalence,
+"""Batched runtime: GraphBatch packing, ragged packs vs one-graph packs,
 and Engine.predict_many over LoopSamples (raw sub-PEGs are rejected)."""
 
 import numpy as np
@@ -9,6 +9,7 @@ from repro.errors import EngineError
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
 from repro.nn.batching import block_diagonal_adjacency
+from repro.nn.layers import normalized_adjacency
 from repro.nn.tensor import no_grad
 from repro.peg.builder import build_peg
 from repro.peg.subgraph import all_loop_subpegs
@@ -38,6 +39,14 @@ def _mvgnn(rng_seed=0):
     model = MVGNN(config, rng=rng_seed)
     model.eval()
     return model
+
+
+def _alone(model, x, adj, walks=None):
+    """Logits of one graph packed alone, shape ``(num_classes,)``."""
+    inputs = (x,) if walks is None else (x, walks)
+    return model.forward_batch(
+        *inputs, block_diagonal_adjacency([adj]), [x.shape[0]]
+    ).data[0]
 
 
 def _ragged_inputs(rng, sizes=(1, 3, 8, 40, 2, 1)):
@@ -82,7 +91,7 @@ class TestBatchedEquivalence:
         model.eval()
         graphs, _ = _ragged_inputs(rng)
         with no_grad():
-            singles = np.stack([model(x, a).data for x, a in graphs])
+            singles = np.stack([_alone(model, x, a) for x, a in graphs])
             packed = model.forward_batch(
                 np.concatenate([x for x, _ in graphs]),
                 block_diagonal_adjacency([a for _, a in graphs]),
@@ -95,7 +104,7 @@ class TestBatchedEquivalence:
         graphs, walks = _ragged_inputs(rng)
         with no_grad():
             singles = np.stack(
-                [model(x, w, a).data for (x, a), w in zip(graphs, walks)]
+                [_alone(model, x, a, w) for (x, a), w in zip(graphs, walks)]
             )
             packed = model.forward_batch(
                 np.concatenate([x for x, _ in graphs]),
@@ -119,7 +128,7 @@ class TestBatchedEquivalence:
         graphs, walks = _ragged_inputs(rng, sizes=(3, 1, 7))
         with no_grad():
             singles = np.stack(
-                [model(x, w, a).data for (x, a), w in zip(graphs, walks)]
+                [_alone(model, x, a, w) for (x, a), w in zip(graphs, walks)]
             )
             packed = model.forward_batch(
                 np.concatenate([x for x, _ in graphs]),
@@ -130,15 +139,17 @@ class TestBatchedEquivalence:
         np.testing.assert_allclose(packed, singles, atol=1e-10)
 
     def test_single_graph_batch_matches(self, rng):
+        """A one-graph pack over the dense normalized adjacency (what the
+        LSTM ablation and pretraining pass) equals the sparse block pack."""
         model = _mvgnn()
         graphs, walks = _ragged_inputs(rng, sizes=(5,))
         (x, adj) = graphs[0]
         with no_grad():
-            single = model(x, walks[0], adj).data
-            packed = model.forward_batch(
-                x, walks[0], block_diagonal_adjacency([adj]), [5]
+            single = _alone(model, x, adj, walks[0])
+            dense = model.forward_batch(
+                x, walks[0], normalized_adjacency(adj), [5]
             ).data
-        np.testing.assert_allclose(packed[0], single, atol=1e-10)
+        np.testing.assert_allclose(dense[0], single, atol=1e-10)
 
 
 class TestEngine:
@@ -170,7 +181,9 @@ class TestEngine:
         model = self._model_for(extracted, walk_space)
         with no_grad():
             expected = [
-                int(np.argmax(model(s.x_semantic, s.x_structural, s.adjacency).data))
+                int(np.argmax(
+                    _alone(model, s.x_semantic, s.adjacency, s.x_structural)
+                ))
                 for s in extracted
             ]
         engine = Engine(

@@ -41,13 +41,14 @@ class TestCli:
         assert main(argv) == 0
         assert "0 misses" in capsys.readouterr().out
 
-    def test_train_per_sample_path(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(
-            ["train", "--app", "fib", "--epochs", "1", "--batch-size", "4",
-             "--per-sample"]
-        ) == 0
-        assert "path=per-sample (reference)" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--per-sample", "--no-compile"])
+    def test_train_route_flags_rejected(self, capsys, flag):
+        """Training has one route: the flags that picked another are gone
+        and fail with argparse's usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--app", "fib", "--epochs", "1", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_lint_tiny_quick(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -1,12 +1,15 @@
-"""Differential harness for the batched training path.
+"""Packing harness for the graph adapters' one training route.
 
-The batched path (``TrainConfig.batched`` / ``loss_and_correct_batched``)
-must be a pure optimization: for every graph adapter it has to reproduce
-the per-sample reference path's loss, correct-count, and — most
-importantly — every parameter gradient, or silent gradient corruption
-would poison every downstream experiment.  These tests pin the two paths
-together on ragged minibatches (1-node sub-PEGs, batch of one, dropout on
-and off) and pin ``train_model`` itself to bit-stable reproducibility.
+``loss_and_correct_batched`` packs a minibatch into one block-diagonal
+batch and runs it forward and backward through a recorded tape.  Packing
+must be a pure optimization: the loss, the correct count and every
+parameter gradient of a ragged pack have to equal the sums over the same
+graphs packed one at a time, or graphs would leak into each other and
+silently poison every downstream experiment.  These tests pin the two
+together on ragged minibatches (1-node sub-PEGs, dropout on and off) with
+same-seed twin adapters, and pin ``train_model`` itself to bit-stable
+reproducibility.  The finite-difference gradcheck of the route is
+``tests/train/test_adapter_gradcheck.py``.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from repro.dataset.types import LoopDataset, LoopSample
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNNConfig
+from repro.nn.functional import softmax_cross_entropy
 from repro.nn.layers import normalized_adjacency
 from repro.train import (
     DGCNNAdapter,
@@ -23,6 +27,11 @@ from repro.train import (
     StaticGNNAdapter,
     TrainConfig,
     train_model,
+)
+
+from tests.runtime.test_tape_differential import (
+    eager_logits,
+    eager_loss_and_correct,
 )
 
 FEATURES = 10
@@ -80,96 +89,118 @@ ADAPTERS = {
 }
 
 
-def _differential(make_adapter, batch, temperature=0.5):
-    """Run both paths on twin adapters; return their (loss, correct, grads)."""
-    reference, batched = make_adapter(), make_adapter()
-    loss_ref, correct_ref = reference.loss_and_correct(batch, temperature)
-    loss_ref.backward()
-    loss_bat, correct_bat = batched.loss_and_correct_batched(
-        batch, temperature
-    )
-    loss_bat.backward()
-    grads_ref = {
-        name: param.grad
-        for name, param in reference.module.named_parameters().items()
+def _grads(adapter):
+    return {
+        name: None if param.grad is None else np.array(param.grad)
+        for name, param in adapter.module.named_parameters().items()
     }
-    grads_bat = {
-        name: param.grad
-        for name, param in batched.module.named_parameters().items()
-    }
-    return (loss_ref, correct_ref, grads_ref), (loss_bat, correct_bat,
-                                                grads_bat)
 
 
-def _assert_paths_agree(ref, bat):
-    (loss_ref, correct_ref, grads_ref), (loss_bat, correct_bat,
-                                         grads_bat) = ref, bat
-    np.testing.assert_allclose(loss_bat.item(), loss_ref.item(), **GRAD_TOL)
-    assert correct_bat == correct_ref
-    assert grads_ref.keys() == grads_bat.keys()
-    for name, grad_ref in grads_ref.items():
-        if grad_ref is None:
-            # e.g. MVGNN never calls its sub-DGCNN classifier heads: neither
-            # path may flow gradient into a parameter the other skipped
-            assert grads_bat[name] is None, f"{name}: only batched path has grad"
+def _packed(adapter, batch, temperature=0.5):
+    """(loss, correct, grads) of the whole batch as one pack."""
+    loss, correct = adapter.loss_and_correct_batched(batch, temperature)
+    loss.backward()
+    return loss.item(), correct, _grads(adapter)
+
+
+def _one_at_a_time(adapter, batch, temperature=0.5):
+    """(loss, correct, grads) summed over one-graph packs of ``batch``.
+
+    Each backward accumulates into ``Parameter.grad``, so the gradients
+    left behind are the sums.  A dropout layer draws its ``(1, d)`` masks
+    from its own rng in graph order, the same stream a ``(B, d)`` mask of
+    the whole pack reads.
+    """
+    total, correct = 0.0, 0
+    for sample in batch:
+        loss, hit = adapter.loss_and_correct_batched([sample], temperature)
+        loss.backward()
+        total += loss.item()
+        correct += hit
+    return total, correct, _grads(adapter)
+
+
+def _assert_same(one_by_one, packed):
+    (loss_one, correct_one, grads_one) = one_by_one
+    (loss_pack, correct_pack, grads_pack) = packed
+    np.testing.assert_allclose(loss_pack, loss_one, **GRAD_TOL)
+    assert correct_pack == correct_one
+    assert grads_one.keys() == grads_pack.keys()
+    for name, grad_one in grads_one.items():
+        if grad_one is None:
+            # e.g. MVGNN never calls its sub-DGCNN classifier heads: packing
+            # may not flow gradient into a parameter the one-graph packs skip
+            assert grads_pack[name] is None, f"{name}: only the pack has grad"
             continue
-        assert grads_bat[name] is not None, f"{name}: batched path left no grad"
+        assert grads_pack[name] is not None, f"{name}: the pack left no grad"
         np.testing.assert_allclose(
-            grads_bat[name], grad_ref, err_msg=f"gradient of {name}",
+            grads_pack[name], grad_one, err_msg=f"gradient of {name}",
             **GRAD_TOL,
         )
 
 
 class TestDifferential:
-    """Batched vs per-sample: loss, correct-count, and all gradients."""
+    """A ragged pack vs the same graphs packed one at a time."""
 
     @pytest.mark.parametrize("adapter_name", sorted(ADAPTERS))
     def test_ragged_minibatch_no_dropout(self, adapter_name):
         batch = _ragged_samples(RAGGED)
-        ref, bat = _differential(lambda: ADAPTERS[adapter_name](0.0), batch)
-        _assert_paths_agree(ref, bat)
+        make = lambda: ADAPTERS[adapter_name](0.0)  # noqa: E731
+        _assert_same(_one_at_a_time(make(), batch), _packed(make(), batch))
 
     @pytest.mark.parametrize("adapter_name", sorted(ADAPTERS))
     def test_ragged_minibatch_with_dropout(self, adapter_name):
-        """Twin adapters share dropout RNG streams: a per-sample (1, d) mask
-        drawn B times equals one batched (B, d) mask, so the two paths agree
-        even in training mode with dropout active."""
+        """Twin adapters share dropout rng streams: B one-graph ``(1, d)``
+        masks equal one ``(B, d)`` mask, so the two agree even in training
+        mode with dropout active."""
         batch = _ragged_samples(RAGGED)
-        ref, bat = _differential(lambda: ADAPTERS[adapter_name](0.5), batch)
-        _assert_paths_agree(ref, bat)
+        make = lambda: ADAPTERS[adapter_name](0.5)  # noqa: E731
+        _assert_same(_one_at_a_time(make(), batch), _packed(make(), batch))
 
     @pytest.mark.parametrize("adapter_name", sorted(ADAPTERS))
     def test_batch_of_one_single_node_graph(self, adapter_name):
+        """The shape class with the most padding (k > n, pooled rows below
+        the second conv's kernel): the tape's loss and gradients equal the
+        model's eager ``forward_batch`` followed by ``Tensor.backward``."""
         batch = _ragged_samples([1])
-        ref, bat = _differential(lambda: ADAPTERS[adapter_name](0.0), batch)
-        _assert_paths_agree(ref, bat)
+        eager = ADAPTERS[adapter_name](0.0)
+        loss, correct = eager_loss_and_correct(eager, batch, 0.5)
+        loss.backward()
+        reference = (loss.item(), correct, _grads(eager))
+        _assert_same(reference, _packed(ADAPTERS[adapter_name](0.0), batch))
 
     def test_predictions_match_reference(self):
+        """``predict`` (packs of up to 32 through the eval tape) agrees with
+        the model's eager forward on each graph packed alone."""
         samples = _ragged_samples(RAGGED + [3, 2, 9])
-        reference, batched = (
+        reference, adapter = (
             MVGNNAdapter(_mv_config(0.5), rng=0) for _ in range(2)
         )
         reference.module.eval()
-        per_sample = np.asarray(
-            [
-                int(np.argmax(reference._logits(s).data))
-                for s in samples
-            ]
+        one_by_one = np.asarray(
+            [int(np.argmax(eager_logits(reference, [s]).data)) for s in samples]
         )
-        np.testing.assert_array_equal(batched.predict(samples), per_sample)
+        np.testing.assert_array_equal(adapter.predict(samples), one_by_one)
 
 
 class TestBatchedDispatch:
     def test_default_batched_falls_back_to_reference(self):
-        """Adapters without a packed path train unchanged under batched=True."""
+        """The LSTM ablation has no packed path: its one route loops over
+        the samples and sums their losses."""
         adapter = SingleViewAdapter(
             "node", DGCNNConfig(in_features=FEATURES, sortpool_k=5), rng=0
         )
-        assert not adapter.supports_batched_training
         batch = _ragged_samples([3, 4])
         loss, correct = adapter.loss_and_correct_batched(batch, 0.5)
         assert loss.requires_grad
         assert 0 <= correct <= len(batch)
+        expected = sum(
+            softmax_cross_entropy(
+                adapter.model(s.x_semantic, s.adjacency), s.label, 0.5
+            ).item()
+            for s in batch
+        )
+        np.testing.assert_allclose(loss.item(), expected, **GRAD_TOL)
 
     def test_prepared_inputs_cached_across_calls(self):
         """Per-sample preparation (normalized adjacency, input transforms)
@@ -188,14 +219,25 @@ class TestBatchedDispatch:
         assert np.all(prepared.semantic[:, -3:] == 0.0)  # static zeroing
 
 
+class _OneGraphPacks(MVGNNAdapter):
+    """MVGNNAdapter whose minibatch is run as one-graph packs, summed."""
+
+    def loss_and_correct_batched(self, batch, temperature):
+        total, correct = None, 0
+        for sample in batch:
+            loss, hit = super().loss_and_correct_batched([sample], temperature)
+            total = loss if total is None else total + loss
+            correct += hit
+        return total, correct
+
+
 class TestReproducibility:
     def _dataset(self):
         return LoopDataset(_ragged_samples(RAGGED + [2, 5, 3, 1]), "toy")
 
-    def _config(self, batched):
+    def _config(self):
         return TrainConfig(
             epochs=4, lr=2e-3, batch_size=4, sortpool_k=5, seed=11,
-            batched=batched,
         )
 
     def test_same_seed_trains_identically(self):
@@ -203,7 +245,7 @@ class TestReproducibility:
         for _ in range(2):
             adapter = MVGNNAdapter(_mv_config(0.5), rng=3)
             curves.append(
-                train_model(adapter, self._dataset(), self._config(True))
+                train_model(adapter, self._dataset(), self._config())
             )
         first, second = curves
         assert first.epochs == second.epochs
@@ -212,23 +254,24 @@ class TestReproducibility:
         assert first.best_epoch == second.best_epoch
 
     def test_batched_and_per_sample_converge_identically(self):
-        """Full training runs through both paths land on the same optimum:
-        same best epoch, same final accuracy, losses within tolerance."""
-        per_sample = train_model(
+        """Full training runs over packed minibatches and over one-graph
+        packs land on the same optimum: same best epoch, same final
+        accuracy, losses within tolerance."""
+        one_by_one = train_model(
+            _OneGraphPacks(_mv_config(0.5), rng=3),
+            self._dataset(),
+            self._config(),
+        )
+        packed = train_model(
             MVGNNAdapter(_mv_config(0.5), rng=3),
             self._dataset(),
-            self._config(False),
+            self._config(),
         )
-        batched = train_model(
-            MVGNNAdapter(_mv_config(0.5), rng=3),
-            self._dataset(),
-            self._config(True),
-        )
-        assert batched.best_epoch == per_sample.best_epoch
+        assert packed.best_epoch == one_by_one.best_epoch
         np.testing.assert_allclose(
-            batched.loss, per_sample.loss, rtol=1e-6, atol=1e-6
+            packed.loss, one_by_one.loss, rtol=1e-6, atol=1e-6
         )
         assert (
-            abs(batched.train_accuracy[-1] - per_sample.train_accuracy[-1])
+            abs(packed.train_accuracy[-1] - one_by_one.train_accuracy[-1])
             <= 1e-9
         )

@@ -50,7 +50,9 @@ class TestCheckpointing:
         from repro.nn.tensor import no_grad
 
         with no_grad():
-            loss, _ = adapter.loss_and_correct(list(data), temperature=0.5)
+            loss, _ = adapter.loss_and_correct_batched(
+                list(data), temperature=0.5
+            )
         final_loss = loss.item() / len(data)
         # the restored model must not be dramatically worse than the best
         # epoch (dropout randomness allows slack)

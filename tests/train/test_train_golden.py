@@ -1,10 +1,12 @@
 """Golden training digest: the batched, tape-compiled training path must
 not drift by a single bit.
 
-Two fixed runs go through ``train_model`` with dropout on: a small MV-GNN
-(node-feature view + structural view with its walk projection, default
-gradient clip) and a small DGCNN (a clip tight enough to bite on most
-steps).  Each contributes the sha256 of its final parameters (name, dtype,
+Four fixed runs go through ``train_model``: a small MV-GNN (node-feature
+view + structural view with its walk projection, default gradient clip,
+dropout on), a small DGCNN (dropout on, a clip tight enough to bite on
+most steps), and the Fig. 8 LSTM ablation on each view (the node view's
+semantic features, and the structural view's walk distributions through
+its projection).  Each contributes the sha256 of its final parameters (name, dtype,
 shape and raw bytes, in name order) and of its per-epoch loss curve
 (``float.hex``), compared against ``tests/train/goldens/train_digest.json``.
 
@@ -31,7 +33,13 @@ import pytest
 from repro.dataset.types import LoopDataset, LoopSample
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNNConfig
-from repro.train import DGCNNAdapter, MVGNNAdapter, TrainConfig, train_model
+from repro.train import (
+    DGCNNAdapter,
+    MVGNNAdapter,
+    SingleViewAdapter,
+    TrainConfig,
+    train_model,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "train_digest.json"
 _UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
@@ -81,10 +89,26 @@ def _dgcnn():
     )
 
 
+def _view_node():
+    return SingleViewAdapter(
+        "node", DGCNNConfig(in_features=FEATURES, sortpool_k=6), rng=7
+    )
+
+
+def _view_structural():
+    return SingleViewAdapter(
+        "structural", DGCNNConfig(in_features=16, sortpool_k=6),
+        walk_types=WALK_TYPES, rng=8,
+    )
+
+
 RUNS = {
     "mvgnn": (_mvgnn, dict(epochs=4, lr=2e-3, batch_size=5, seed=3)),
     "dgcnn": (_dgcnn, dict(epochs=4, lr=3e-3, batch_size=4, seed=4,
                            grad_clip=0.01)),
+    "view-node": (_view_node, dict(epochs=3, lr=3e-3, batch_size=4, seed=9)),
+    "view-structural": (_view_structural,
+                        dict(epochs=3, lr=3e-3, batch_size=4, seed=10)),
 }
 
 

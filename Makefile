@@ -78,8 +78,11 @@ test-infer:
 		"tests/serve/test_fleet.py::TestBackendParity" -q
 
 # Embedding wall: the inst2vec and anonymous-walk tests, the bit-exact
-# oracles of the ordered scatter-add, the SGD step and the vectorized
-# walk sampler, the golden embedding digest with its planted sum-first
+# oracles of the ordered scatter-add (lockstep positions and accumulated
+# tails: tied, equal and dominant group lengths, fewer groups than the
+# cut, a planted swapped-update fault), the SGD step with its reused
+# scratch pair (full, short, full batches) and the vectorized walk
+# sampler, the golden embedding digest with its planted sum-first
 # scatter, dataset extraction, and the agreement of extraction and the
 # training cache's featurizer (see docs/RUNTIME.md "The training step").
 test-embed:
@@ -108,9 +111,13 @@ test-quantize:
 # Advisor wall: plan schema + clause ordering, transform round-trips,
 # scheduler determinism, the schedule golden digest, the
 # sequential-vs-interleaved differential suite, the planted-race
-# refutation, AD001, and /v1/advise (see docs/ADVISOR.md).
+# refutation, AD001, /v1/advise (see docs/ADVISOR.md), and the work
+# counters of the loop passes the advisor runs (block sets and
+# reductions once per function).
 test-advisor:
-	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/advisor/ -q
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/advisor/ \
+		tests/analysis/test_block_sets_once.py \
+		tests/analysis/test_reductions_once.py -q
 
 # Value-range wall: interval-domain unit tests, fixpoint/soundness
 # checks over the bundled apps, the array-summary schedule, the golden

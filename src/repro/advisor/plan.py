@@ -35,7 +35,11 @@ from repro.analysis.suggestions import _bare, _is_inner_induction, render_pragma
 from repro.errors import AdvisorError
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import IRProgram
-from repro.lint.static_dep import StaticVerdict, static_loop_verdicts
+from repro.lint.static_dep import (
+    StaticVerdict,
+    build_prover_context,
+    static_loop_verdicts,
+)
 from repro.profiler.report import ProfileReport
 from repro.profiler.static_info import program_block_sets
 
@@ -238,11 +242,20 @@ def build_advice_plans(
     oracle's verdict, with provenance recorded accordingly.  Validation is
     *not* run here; plans come back ``pending`` and
     :func:`repro.advisor.validate.validate_plan` fills the record in.
+
+    ``ir_program`` must be ``program``'s O0 lowering, as the driver builds
+    it: the plans reuse the loop block sets the prover context computed on
+    the shared analysis's own O0 lowering of ``program``, which agrees
+    with it block for block.
     """
-    block_sets = program_block_sets(ir_program)  # once per function
-    patterns = classify_all_patterns(program, ir_program, report, block_sets)
-    statics = static_loop_verdicts(program)
     loops = ir_program.all_loops()
+    context = build_prover_context(program)
+    statics = static_loop_verdicts(program, context=context)
+    if context is not None:
+        block_sets = context.block_sets
+    else:  # the analysis failed: once per function, here
+        block_sets = program_block_sets(ir_program)
+    patterns = classify_all_patterns(program, ir_program, report, block_sets)
 
     plans: Dict[str, AdvicePlan] = {}
     for loop_id, result in patterns.items():

@@ -46,18 +46,28 @@ def build_statement_corpus(
     return sequences, pairs
 
 
+# the lockstep stops where no more than this many row groups still run;
+# their tails cost less as one accumulate each than as one vector add per
+# position
+_TAIL_GROUPS = 4
+
+
 def _ordered_scatter_add(
     weights: np.ndarray, indices: np.ndarray, updates: np.ndarray
 ) -> None:
     """Add ``updates[i]`` into row ``indices[i]`` of ``weights`` for every ``i``.
 
     Bit for bit what numpy's unbuffered in-place add (``ufunc.at``) does:
-    each row's updates are added into its current value one at a time, in
-    the order they occur.  A stable sort of ``indices`` keeps that order
-    within each row.  Each distinct row's current value is stacked ahead of
-    its updates, and one ``np.add.accumulate`` down axis 0 adds them in
-    exactly that order.  A reduce, ``reduceat`` or ``bincount`` would sum
-    the updates first and round differently.
+    each row's updates are added into its live value one at a time, in the
+    order they occur, with the live value as the left operand.  A stable
+    sort of ``indices`` keeps that order within each row's group, and the
+    groups are then taken longest first.  Position ``j`` of every group
+    longer than ``j`` is added in one vector add, from one position-major
+    block gathered up front, until at most ``_TAIL_GROUPS`` groups are
+    left; each of those finishes with one ``np.add.accumulate`` down axis 0
+    over its live value stacked ahead of its remaining updates.  A reduce,
+    ``reduceat`` or ``bincount`` would sum the updates first and round
+    differently.
     """
     if indices.size == 0:
         return
@@ -66,16 +76,35 @@ def _ordered_scatter_add(
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
     )
+    counts = np.diff(np.append(starts, indices.size))
+    longest = np.argsort(-counts, kind="stable")
+    starts, counts = starts[longest], counts[longest]
     rows = sorted_rows[starts]
-    # group g is stacked[heads[g]:heads[g + 1]]: its row, then its updates
-    stacked = np.take(updates, np.insert(order, starts, 0), axis=0)
-    heads = starts + np.arange(rows.size)
-    stacked[heads] = weights[rows]
-    bounds = np.append(heads, len(stacked)).tolist()
-    for g, row in enumerate(rows.tolist()):
-        weights[row] = np.add.accumulate(
-            stacked[bounds[g] : bounds[g + 1]], axis=0
-        )[-1]
+    live = weights[rows]
+    span = int(counts[_TAIL_GROUPS]) if rows.size > _TAIL_GROUPS else 0
+    if span:
+        # running[j]: the groups longer than j, a prefix of the groups
+        running = np.searchsorted(-counts, -np.arange(span), side="left")
+        position = np.repeat(np.arange(span), running)
+        group = np.arange(position.size) - np.repeat(
+            np.cumsum(running) - running, running
+        )
+        block = np.take(updates, order[starts[group] + position], axis=0)
+        end = 0
+        for n in running.tolist():
+            head = live[:n]
+            np.add(head, block[end : end + n], out=head)
+            end += n
+    for g in range(min(_TAIL_GROUPS, rows.size)):
+        if counts[g] > span:
+            tail = order[starts[g] + span : starts[g] + counts[g]]
+            stacked = np.empty(
+                (tail.size + 1, updates.shape[1]), updates.dtype
+            )
+            stacked[0] = live[g]
+            np.take(updates, tail, axis=0, out=stacked[1:], mode="clip")
+            live[g] = np.add.accumulate(stacked, axis=0)[-1]
+    weights[rows] = live
 
 
 class Inst2Vec:
@@ -121,16 +150,21 @@ class Inst2Vec:
         probs /= probs.sum()
 
         n = centers.size
-        for epoch in range(epochs):
-            # linear lr decay, standard word2vec schedule
-            epoch_lr = lr * (1.0 - epoch / max(1, epochs)) + lr * 0.1
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                batch = order[start : start + batch_size]
-                self._sgd_step(
-                    centers[batch], contexts[batch], negatives, epoch_lr,
-                    probs, rng,
-                )
+        try:
+            for epoch in range(epochs):
+                # linear lr decay, standard word2vec schedule
+                epoch_lr = lr * (1.0 - epoch / max(1, epochs)) + lr * 0.1
+                order = rng.permutation(n)
+                for start in range(0, n, batch_size):
+                    batch = order[start : start + batch_size]
+                    self._sgd_step(
+                        centers[batch], contexts[batch], negatives, epoch_lr,
+                        probs, rng,
+                    )
+        finally:
+            # the trained model is pickled to every dataset worker and held
+            # for the whole assembly: it carries no scratch
+            self.__dict__.pop("_scratch", None)
         # L2-normalize rows for downstream use: node features feed tanh GCNs
         # and must stay O(1) regardless of training length
         norms = np.linalg.norm(self.w_in, axis=1, keepdims=True)
@@ -182,8 +216,11 @@ class Inst2Vec:
         # negatives (the order the two w_out updates are applied in)
         out_rows = np.concatenate((contexts, neg.reshape(-1)))
 
-        v = w_in[centers]                      # (B, d)
-        u = w_out[out_rows]                    # (B + B*k, d)
+        v, u = self._scratch_pair(batch, out_rows.size)
+        # mode="clip" (the rows are in range) lets take write straight into
+        # the scratch; the default "raise" gathers into a temporary first
+        np.take(w_in, centers, axis=0, out=v, mode="clip")      # (B, d)
+        np.take(w_out, out_rows, axis=0, out=u, mode="clip")    # (B + B*k, d)
         u_pos = u[:batch]                      # (B, d)
         u_neg = u[batch:].reshape(batch, negatives, self.dim)  # (B, k, d)
 
@@ -208,6 +245,19 @@ class Inst2Vec:
             grad *= -lr
         _ordered_scatter_add(w_in, centers, grad_v)
         _ordered_scatter_add(w_out, out_rows, u)
+
+    def _scratch_pair(
+        self, batch: int, n_out: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The step's gather targets, reused across the steps of one
+        ``train`` call: fresh multi-megabyte arrays are page-faulted in
+        again on every step.  Reallocated when the batch shape changes
+        (an epoch's short last batch)."""
+        shapes = ((batch, self.dim), (n_out, self.dim))
+        pair = getattr(self, "_scratch", None)
+        if pair is None or (pair[0].shape, pair[1].shape) != shapes:
+            pair = self._scratch = (np.empty(shapes[0]), np.empty(shapes[1]))
+        return pair
 
     # -- lookup ------------------------------------------------------------------
 

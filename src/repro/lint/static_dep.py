@@ -127,6 +127,7 @@ class ProverContext:
     reductions: Dict[str, Dict[str, str]]  # loop_id -> {accumulator: op}
     pure_functions: FrozenSet[str]
     enclosing_bounds: Dict[str, tuple]     # loop_id -> (EnclosingBound, ...)
+    block_sets: Dict[str, Set[str]]        # loop_id -> block labels (O0 IR)
 
     def reduction_vars(self, loop_id: str) -> Dict[str, str]:
         return self.reductions.get(loop_id, {})
@@ -179,11 +180,11 @@ def prover_context(program: ast.Program, ir, ranges) -> ProverContext:
     symbolic facts."""
     from repro.analysis.ranges import harvest_enclosing_bounds
     from repro.analysis.reduction import find_reductions
-    from repro.profiler.static_info import loop_block_sets
+    from repro.profiler.static_info import program_block_sets
 
+    block_sets = program_block_sets(ir)  # once per function, not per loop
     reductions: Dict[str, Dict[str, str]] = {}
     for fn in ir.functions.values():
-        block_sets = loop_block_sets(fn)  # once per function, not per loop
         for loop_id in fn.loops:
             found = find_reductions(fn, loop_id, block_sets)
             reductions[loop_id] = {
@@ -195,6 +196,7 @@ def prover_context(program: ast.Program, ir, ranges) -> ProverContext:
         reductions=reductions,
         pure_functions=_pure_functions(program),
         enclosing_bounds=harvest_enclosing_bounds(program),
+        block_sets=block_sets,
     )
 
 
@@ -905,7 +907,9 @@ def _prove_parallel(
 
 
 def static_loop_verdicts(
-    program: ast.Program, use_ranges: bool = True
+    program: ast.Program,
+    use_ranges: bool = True,
+    context: Optional[ProverContext] = None,
 ) -> Dict[str, StaticLoopAnalysis]:
     """Analyze every ``For`` loop of ``program``, keyed by ``loop_id``.
 
@@ -918,10 +922,13 @@ def static_loop_verdicts(
 
     ``use_ranges=False`` skips :func:`build_prover_context` and restores
     the pre-range conservative prover (the benchmark baseline).
+    ``context`` is :func:`build_prover_context` of ``program`` when the
+    caller already built it (the advice plans reuse its block sets).
     """
     from repro.analysis.candidates import iter_parallel_candidate_loops
 
-    context = build_prover_context(program) if use_ranges else None
+    if context is None and use_ranges:
+        context = build_prover_context(program)
     return {
         cand.loop_id: analyze_loop_static(cand.loop, cand.enclosing, context)
         for cand in iter_parallel_candidate_loops(program)

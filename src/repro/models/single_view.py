@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.models.dgcnn import DGCNN, DGCNNConfig
-from repro.nn.layers import Dense, Module, normalized_adjacency
+from repro.nn.layers import Dense, Module
 from repro.nn.rnn import LSTM
 from repro.nn.tensor import Tensor
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -60,14 +60,14 @@ class SingleViewModel(Module):
         )
         return self
 
-    def forward(self, x: np.ndarray, adjacency: np.ndarray) -> Tensor:
+    def forward(self, x: np.ndarray, adj_norm: np.ndarray) -> Tensor:
+        """Logits of one graph; ``adj_norm`` is ``normalized_adjacency`` of
+        its adjacency, which the caller normalizes once per sample."""
         node_input = x
         if self.projection is not None:
             node_input = self.projection(Tensor(x))
         # the DGCNN's packed front end on a pack of one graph
-        reps = self.dgcnn.node_representations_batch(
-            node_input, normalized_adjacency(adjacency)
-        )
+        reps = self.dgcnn.node_representations_batch(node_input, adj_norm)
         pooled = self.dgcnn.sortpool.segment_call(reps, [x.shape[0]])
         _seq, (h_final, _c) = self.lstm(pooled)
         return self.classifier(h_final)

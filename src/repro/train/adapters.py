@@ -266,7 +266,8 @@ class SingleViewAdapter(ModelAdapter):
     """One view + LSTM + dense (the Fig. 8 importance setup).
 
     The LSTM head has no packed path: this adapter trains and predicts one
-    sample at a time.
+    sample at a time.  Each sample's normalized adjacency is computed once
+    and kept by ``sample_id``, as the graph adapters' ``_prepare`` does.
     """
 
     def __init__(
@@ -279,6 +280,7 @@ class SingleViewAdapter(ModelAdapter):
         self.view = view
         self.name = f"view:{view}"
         self.model = SingleViewModel(view, dgcnn_config, rng=rng)
+        self._adj_norm: Dict[str, np.ndarray] = {}
         if view == "structural":
             if walk_types <= 0:
                 raise ModelError("structural view needs walk_types")
@@ -294,7 +296,11 @@ class SingleViewAdapter(ModelAdapter):
             if self.view == "node"
             else sample.x_structural
         )
-        return self.model(x, sample.adjacency)
+        adj_norm = self._adj_norm.get(sample.sample_id)
+        if adj_norm is None:
+            adj_norm = normalized_adjacency(sample.adjacency)
+            self._adj_norm[sample.sample_id] = adj_norm
+        return self.model(x, adj_norm)
 
     def loss_and_correct_batched(self, batch, temperature):
         total = None

@@ -7,13 +7,15 @@ benchmark runs fast without compromising reproducibility.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import pickle
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 
 def stable_hash(obj: Any) -> str:
@@ -26,6 +28,26 @@ def _json_default(obj: Any) -> Any:
     if hasattr(obj, "__dict__"):
         return {"__class__": type(obj).__name__, **vars(obj)}
     return repr(obj)
+
+
+@contextmanager
+def _collections_paused() -> Iterator[None]:
+    """No cyclic garbage collection for the enclosed block.
+
+    A pickler's memo holds every tuple it pickles until the dump returns.
+    A large dump (a dataset shard pickles thousands of reduce tuples)
+    therefore triggers young collections that traverse those tuples and
+    promote them, which brings the next full collection of the whole heap
+    forward, although reference counting frees them all when the dump
+    returns.  Leaves collection off if it already was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class DiskCache:
@@ -80,7 +102,7 @@ class DiskCache:
         path = self.path_for(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with os.fdopen(fd, "wb") as fh, _collections_paused():
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except BaseException:

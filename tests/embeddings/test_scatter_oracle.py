@@ -6,6 +6,11 @@ occurrence order.  Each case is compared on the raw ``uint64`` bits, never
 with a tolerance:
 
 * d = 1 and d = 200, heavy duplicates, a single row, an empty index array;
+* the lockstep: tied group lengths, all groups of one length (no
+  accumulated tail), fewer groups than the lockstep cut, and one dominant
+  row (~530 of 3,072 picks over 54 rows, the shape of a real ``w_out``
+  step) at d = 1, 48 and 193; a planted variant that swaps two updates of
+  one row must fail;
 * ``±0.0``, ``±inf``, huge and subnormal values;
 * one NaN per cell (where two NaNs meet in one cell the surviving payload
   depends on the compiled operand order, so that case is not generated);
@@ -13,13 +18,21 @@ with a tolerance:
   sequential ``np.add.at`` calls;
 * the whole ``Inst2Vec._sgd_step`` against the step it replaced (three
   ``np.add.at`` scatters on freshly allocated gradients), including the
-  generator state afterwards.
+  generator state afterwards, also across batch shapes that change the
+  reused scratch pair; a trained model keeps no scratch.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.embeddings.inst2vec import Inst2Vec, _ordered_scatter_add
+from repro.embeddings import inst2vec as inst2vec_module
+from repro.embeddings.inst2vec import (
+    Inst2Vec,
+    _TAIL_GROUPS,
+    _ordered_scatter_add,
+)
 
 SEEDS = range(10)
 SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324,
@@ -145,6 +158,91 @@ class TestOrderedScatter:
         assert_same_bits(updates, before)
 
 
+def _shuffled_groups(seed, counts):
+    """Indices in which row ``r`` occurs ``counts[r]`` times, shuffled."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.repeat(np.arange(len(counts)), counts))
+
+
+def _step_shape(seed):
+    """A real ``w_out`` step: 3,072 picks over 54 rows, one row ~530."""
+    rng = np.random.default_rng(seed)
+    rest = rng.choice(np.arange(1, 54), size=3072 - 530,
+                      p=rng.dirichlet(np.full(53, 1.0)))
+    return rng.permutation(np.concatenate((np.zeros(530, np.int64), rest)))
+
+
+def _scatter_case(seed, dim, indices, specials=SPECIALS):
+    rng = np.random.default_rng(seed)
+    rows = int(indices.max()) + 1
+    weights = _with_specials(rng, (rows, dim), specials)
+    updates = _with_specials(rng, (indices.size, dim), specials)
+    return weights, indices, updates
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("dim", [1, 48, 193])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_group_lengths(self, seed, dim):
+        # ties at the cut, above it and below it
+        counts = [9, 9, 7, 7, 7, 7, 7, 3, 3, 1, 1]
+        indices = _shuffled_groups(seed, counts)
+        assert_same_bits(*_both(*_scatter_case(seed, dim, indices)))
+
+    @pytest.mark.parametrize("dim", [1, 48, 193])
+    @pytest.mark.parametrize("groups", [_TAIL_GROUPS + 1, 12, 54])
+    def test_equal_group_lengths_leave_no_tail(self, groups, dim):
+        indices = _shuffled_groups(groups, [6] * groups)
+        assert_same_bits(*_both(*_scatter_case(groups, dim, indices)))
+
+    @pytest.mark.parametrize("dim", [1, 48, 193])
+    @pytest.mark.parametrize("groups", range(1, _TAIL_GROUPS + 2))
+    def test_around_the_lockstep_cut(self, groups, dim):
+        # up to _TAIL_GROUPS groups every row is an accumulated tail
+        counts = [40 - 7 * g for g in range(groups)]
+        indices = _shuffled_groups(groups, counts)
+        assert_same_bits(*_both(*_scatter_case(groups, dim, indices)))
+
+    @pytest.mark.parametrize("dim", [1, 48, 193])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dominant_row_step_shape(self, seed, dim):
+        indices = _step_shape(seed)
+        assert np.bincount(indices).max() == 530
+        assert_same_bits(*_both(*_scatter_case(seed, dim, indices)))
+
+    def test_swapped_updates_fail_the_oracle(self, monkeypatch):
+        """A lockstep that adds two updates of one row in swapped order
+        rounds differently, and the raw-bit comparison sees it."""
+        weights, indices, updates = _scatter_case(
+            0, 193, _step_shape(0), SMALL_SPECIALS
+        )
+        assert_same_bits(*_both(weights, indices, updates))
+
+        class SwappingNumpy:
+            """numpy, except the first stable sort swaps the first two
+            updates of the dominant row."""
+
+            def __init__(self):
+                self.sorts = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, a, **kwargs):
+                order = np.argsort(a, **kwargs)
+                self.sorts += 1
+                if self.sorts == 1:
+                    first, second = np.flatnonzero(a[order] == 0)[:2]
+                    order[[first, second]] = order[[second, first]]
+                return order
+
+        monkeypatch.setattr(inst2vec_module, "np", SwappingNumpy())
+        got, want = _both(weights, indices, updates)
+        assert not np.array_equal(bits(got), bits(want))
+        # only the dominant row moves
+        assert np.array_equal(bits(got[1:]), bits(want[1:]))
+
+
 def _reference_sgd_step(model, centers, contexts, negatives, lr, probs, rng):
     """The update before the ordered scatter: fresh gradient arrays and
     three ``np.add.at`` scatters."""
@@ -202,3 +300,35 @@ class TestSgdStep:
         assert_same_bits(got.w_in, want.w_in)
         assert_same_bits(got.w_out, want.w_out)
         assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("dim", [48, 193])
+    def test_scratch_follows_the_batch_shape(self, dim):
+        """Full, short, full: a scratch pair left from another batch shape
+        must never leak into a step."""
+        vocab, negatives = 54, 5
+        rng = np.random.default_rng(dim)
+        probs = rng.dirichlet(np.full(vocab, 0.3))
+        got, want = _model(dim, vocab, dim), _model(dim, vocab, dim)
+        got_rng = np.random.default_rng(7)
+        want_rng = np.random.default_rng(7)
+        for batch in (512, 37, 512, 512, 1):
+            centers = rng.integers(0, vocab, size=batch)
+            contexts = rng.integers(0, vocab, size=batch)
+            got._sgd_step(centers, contexts, negatives, 0.05, probs, got_rng)
+            _reference_sgd_step(want, centers, contexts, negatives, 0.05,
+                                probs, want_rng)
+            assert_same_bits(got.w_in, want.w_in)
+            assert_same_bits(got.w_out, want.w_out)
+
+    def test_trained_model_keeps_no_scratch(self):
+        """What the dataset pool pickles to every worker is the trained
+        table alone: the same pickle as a model assembled from its fields."""
+        from repro.benchsuite.registry import build_app
+        from repro.ir.lowering import lower_program
+
+        irs = [lower_program(p) for p in build_app("fib").programs]
+        model = Inst2Vec(dim=16).train(irs, epochs=2, batch_size=64, rng=3)
+        assert set(vars(model)) == {"dim", "vocab", "w_in", "w_out"}
+        bare = Inst2Vec(dim=16)
+        bare.vocab, bare.w_in, bare.w_out = model.vocab, model.w_in, model.w_out
+        assert pickle.dumps(model) == pickle.dumps(bare)

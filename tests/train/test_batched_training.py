@@ -196,11 +196,34 @@ class TestBatchedDispatch:
         assert 0 <= correct <= len(batch)
         expected = sum(
             softmax_cross_entropy(
-                adapter.model(s.x_semantic, s.adjacency), s.label, 0.5
+                adapter.model(s.x_semantic, normalized_adjacency(s.adjacency)),
+                s.label, 0.5,
             ).item()
             for s in batch
         )
         np.testing.assert_allclose(loss.item(), expected, **GRAD_TOL)
+
+    def test_single_view_normalizes_once_per_sample(self, monkeypatch):
+        """The LSTM ablation normalizes each sample's adjacency once, not
+        once per epoch: two epochs and a predict pass over the training
+        samples make one call per distinct sample."""
+        import repro.train.adapters as adapters
+
+        calls = []
+
+        def counting(adjacency):
+            calls.append(adjacency.shape)
+            return normalized_adjacency(adjacency)
+
+        monkeypatch.setattr(adapters, "normalized_adjacency", counting)
+        samples = _ragged_samples([3, 1, 4, 2, 5])
+        adapter = SingleViewAdapter(
+            "node", DGCNNConfig(in_features=FEATURES, sortpool_k=5), rng=0
+        )
+        config = TrainConfig(epochs=2, lr=2e-3, batch_size=2, sortpool_k=5, seed=1)
+        train_model(adapter, LoopDataset(samples, "toy"), config)
+        adapter.predict(samples)
+        assert len(calls) == len(samples)
 
     def test_prepared_inputs_cached_across_calls(self):
         """Per-sample preparation (normalized adjacency, input transforms)

@@ -135,3 +135,32 @@ class TestDiskCache:
         cache.put("a", 1)
         cache.clear()
         assert cache.get("a") is None
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_put_pickles_with_collection_paused(self, tmp_path, monkeypatch,
+                                                enabled):
+        """The pickler's memo keeps every tuple it writes alive until the
+        dump returns, so the dump runs with cyclic collection off; the
+        collector is left as it was found."""
+        import gc
+        import pickle
+
+        real_dump = pickle.dump
+        during = []
+
+        def dump(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real_dump(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dump", dump)
+        cache = DiskCache(tmp_path)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            cache.put("k", {"a": np.arange(3)})
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during == [False]
+        assert after is enabled
+        np.testing.assert_array_equal(cache.get("k")["a"], np.arange(3))

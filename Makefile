@@ -5,7 +5,8 @@ export PYTHONPATH := src
 COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-train \
-	test-infer test-embed test-imports test-quantize test-advisor test-ranges test-profiler bench \
+	test-infer test-embed test-imports test-quantize test-advisor test-ranges test-profiler \
+	test-experiments bench \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -141,6 +142,15 @@ test-ranges:
 # (see docs/ARCHITECTURE.md).
 test-profiler:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest tests/profiler/ -q
+
+# Experiment drivers wall: Table III, Fig. 7 and Fig. 8 each computed by
+# one repro.experiments driver, run on the tiny dataset with a cut-down
+# training budget: row fields, majority priors equal to the split's label
+# share, two seeds giving two rows per cell, one seed equal to a plain
+# call, each model trained once per context, and a constant
+# majority-class predictor failing the Table III prior gate.
+test-experiments:
+	$(PYTHON) -m pytest tests/experiments/ -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -1,49 +1,33 @@
 """Figure 7: training loss and accuracy curves.
 
-Prints the recorded per-epoch series for the MV-GNN training run and
-asserts the paper's qualitative shape: loss trends down, accuracy trends up
-toward a plateau.  Also times a single training epoch (the meaningful unit
-of training throughput).
+Prints the per-epoch series of the shared MV-GNN training run
+(:func:`repro.experiments.fig7.fig7_training_curves`) with the size and
+majority prior of the train and test splits, and asserts the paper's
+qualitative shape: loss trends down, accuracy trends up toward a plateau.
+Also times a single training epoch (the meaningful unit of training
+throughput).
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import make_mvgnn_adapter
-from repro.train import TrainConfig, train_model
+from repro.experiments.fig7 import fig7_training_curves, train_one_epoch
 
-from benchmarks.common import banner, emit, get_context, get_trained_mvgnn
+from benchmarks.common import banner, emit, get_context
 
 
 @pytest.fixture(scope="module")
 def curves():
-    _adapter, curves = get_trained_mvgnn()
+    result = fig7_training_curves(get_context())
     banner("Figure 7 — training loss (top) and accuracy (bottom)")
-    emit(f"{'epoch':>6}{'loss':>10}{'train acc':>11}{'test acc':>10}")
-    test_series = curves.test_accuracy or [float("nan")] * len(curves.epochs)
-    for epoch, loss, train_acc, test_acc in zip(
-        curves.epochs, curves.loss, curves.train_accuracy, test_series
-    ):
-        emit(f"{epoch:>6}{loss:>10.4f}{train_acc:>11.3f}{test_acc:>10.3f}")
-    return curves
+    emit(result.format())
+    return result.rows[0].curves
 
 
 def test_one_training_epoch_speed(benchmark):
     """Wall time of one MV-GNN epoch over the training split."""
     ctx = get_context()
-    adapter = make_mvgnn_adapter(ctx, rng=123)
-    config = TrainConfig(
-        epochs=1,
-        lr=ctx.train_config.lr,
-        batch_size=ctx.train_config.batch_size,
-        sortpool_k=ctx.train_config.sortpool_k,
-        seed=7,
-    )
-
-    def one_epoch():
-        train_model(adapter, ctx.data.train, config)
-
-    benchmark.pedantic(one_epoch, rounds=1, iterations=1)
+    benchmark.pedantic(lambda: train_one_epoch(ctx), rounds=1, iterations=1)
 
 
 def test_loss_decreases(benchmark, curves):

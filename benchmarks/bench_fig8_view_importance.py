@@ -1,60 +1,33 @@
 """Figure 8: importance of the two views per benchmark suite.
 
-Trains the single-view models next to the multi-view one, computes
-IMP_n / IMP_s (= N_view / N_multi on identified-parallel counts), prints the
-measured-vs-paper bars, and asserts the paper's two findings: the views
-consensus well, and the node-feature view is the more important one.
+Prints the measured-vs-paper bars of :func:`repro.experiments.fig8.
+fig8_view_importance` (IMP_n / IMP_s = N_view / N_multi on
+identified-parallel counts), with each suite's loop count, majority prior
+and the three models' accuracies, and asserts the paper's two findings:
+the views consensus well, and the node-feature view is the more important
+one.
 """
 
 import pytest
 
-from repro.experiments.fig8 import PAPER_FIG_8
-from repro.train.importance import view_importance
+from repro.experiments.fig8 import fig8_view_importance
 
-from benchmarks.common import (
-    banner,
-    emit,
-    get_context,
-    get_trained_mvgnn,
-    get_trained_views,
-)
+from benchmarks.common import banner, emit, get_context
 
 
 @pytest.fixture(scope="module")
 def importance():
-    ctx = get_context()
-    multi, _ = get_trained_mvgnn()
-    node_view, struct_view = get_trained_views()
-    suites = {
-        suite: ctx.data.benchmark.by_suite(suite)
-        for suite in ("NPB", "PolyBench", "BOTS")
-    }
-    result = view_importance(multi, node_view, struct_view, suites)
+    result = fig8_view_importance(get_context())
     banner("Figure 8 — importance of views (IMP = N_view / N_multi)")
-    emit(
-        f"{'Benchmark':<12}{'N_multi':>8}{'N_n':>6}{'N_s':>6}"
-        f"{'IMP_n':>8}{'IMP_s':>8}{'paper n':>9}{'paper s':>9}"
-    )
-    for suite, row in result.items():
-        paper = PAPER_FIG_8.get(suite, {})
-        emit(
-            f"{suite:<12}{row['N_multi']:>8.0f}{row['N_n']:>6.0f}"
-            f"{row['N_s']:>6.0f}{row['IMP_n']:>8.2f}{row['IMP_s']:>8.2f}"
-            f"{paper.get('IMP_n', float('nan')):>9.2f}"
-            f"{paper.get('IMP_s', float('nan')):>9.2f}"
-        )
-    return result
+    emit(result.format())
+    return {row.suite: row.importance for row in result.rows}
 
 
 def test_importance_computation_speed(benchmark, importance):
+    """Fig. 8 from the trained models: predictions over every suite."""
     ctx = get_context()
-    multi, _ = get_trained_mvgnn()
-    node_view, struct_view = get_trained_views()
-    data = {"BOTS": ctx.data.benchmark.by_suite("BOTS")}
     benchmark.pedantic(
-        lambda: view_importance(multi, node_view, struct_view, data),
-        rounds=1,
-        iterations=1,
+        lambda: fig8_view_importance(ctx), rounds=1, iterations=1
     )
 
 

@@ -10,14 +10,12 @@ import pytest
 
 from repro.experiments.table4 import PAPER_TABLE_IV, table4_npb_case_study
 
-from benchmarks.common import banner, emit, get_context, get_trained_mvgnn
+from benchmarks.common import banner, emit, get_context
 
 
 @pytest.fixture(scope="module")
 def table4_result():
-    ctx = get_context()
-    adapter, _curves = get_trained_mvgnn()
-    result = table4_npb_case_study(ctx, adapter=adapter)
+    result = table4_npb_case_study(get_context())
     banner("Table IV — statistics of NPB dataset test")
     emit(result.format())
     return result
@@ -25,7 +23,7 @@ def table4_result():
 
 def test_table4_counting_speed(benchmark, table4_result):
     ctx = get_context()
-    adapter, _ = get_trained_mvgnn()
+    adapter, _ = ctx.trained("MV-GNN")
     from repro.train.eval import count_identified_parallel
 
     data = ctx.data.benchmark.by_app("EP")

@@ -1,10 +1,12 @@
 """Shared benchmark state.
 
 Experiments are expensive (dataset assembly + model training), so the
-harness builds them once per session through memoized accessors; the
-individual ``bench_*`` files time well-defined units (inference over an
-evaluation suite, one training epoch, table regeneration) and print the
-paper-vs-measured rows that EXPERIMENTS.md records.
+harness builds one :class:`ExperimentContext` per session; it trains each
+model once (:meth:`ExperimentContext.trained`).  The individual
+``bench_*`` files call the ``repro.experiments`` drivers, time well-defined
+units (inference over an evaluation suite, one training epoch, table
+regeneration) and print the paper-vs-measured rows that EXPERIMENTS.md
+records.
 
 Set ``REPRO_FULL=1`` for the paper-fidelity configuration (3100+3100
 dataset, 200 epochs, SortPooling k=135) — expect hours on CPU.
@@ -16,19 +18,8 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
 
-from repro.experiments.common import (
-    ExperimentContext,
-    build_context,
-    full_mode,
-    make_mvgnn_adapter,
-    make_ncc_adapter,
-    make_static_gnn_adapter,
-    make_view_adapters,
-)
-from repro.train import TrainConfig, train_model
-from repro.train.trainer import TrainingCurves
+from repro.experiments.common import ExperimentContext, build_context, full_mode
 
 #: populated by benchmarks/conftest.py at pytest_configure time
 PYTEST_CONFIG = None
@@ -68,58 +59,3 @@ def banner(title: str) -> None:
 @functools.lru_cache(maxsize=1)
 def get_context() -> ExperimentContext:
     return build_context()
-
-
-@functools.lru_cache(maxsize=1)
-def get_trained_mvgnn():
-    ctx = get_context()
-    adapter = make_mvgnn_adapter(ctx)
-    curves = train_model(
-        adapter, ctx.data.train, ctx.train_config, test_data=ctx.data.test
-    )
-    return adapter, curves
-
-
-@functools.lru_cache(maxsize=1)
-def get_trained_static_gnn():
-    ctx = get_context()
-    adapter = make_static_gnn_adapter(ctx)
-    curves = train_model(adapter, ctx.data.train, ctx.train_config)
-    return adapter, curves
-
-
-@functools.lru_cache(maxsize=1)
-def get_trained_ncc():
-    ctx = get_context()
-    adapter = make_ncc_adapter(ctx)
-    config = ctx.train_config
-    if not full_mode():
-        # NCC's LSTMs dominate CPU cost; cap its training budget in fast mode
-        config = TrainConfig(
-            epochs=min(10, config.epochs),
-            lr=2e-3,
-            batch_size=32,
-            sortpool_k=config.sortpool_k,
-            seed=config.seed,
-            max_train_samples=300,
-        )
-    curves = train_model(adapter, ctx.data.train, config)
-    return adapter, curves
-
-
-@functools.lru_cache(maxsize=1)
-def get_trained_views():
-    ctx = get_context()
-    node_view, struct_view = make_view_adapters(ctx)
-    config = ctx.train_config
-    if not full_mode():
-        config = TrainConfig(
-            epochs=min(15, config.epochs),
-            lr=2e-3,
-            batch_size=32,
-            sortpool_k=config.sortpool_k,
-            seed=config.seed,
-        )
-    for adapter in (node_view, struct_view):
-        train_model(adapter, ctx.data.train, config)
-    return node_view, struct_view

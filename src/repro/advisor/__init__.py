@@ -47,7 +47,6 @@ from repro.advisor.validate import (
     KernelSpec,
     bitwise_equal,
     build_kernel,
-    compare_states,
     ulp_diff,
     validate_plan,
 )
@@ -75,8 +74,8 @@ __all__ = [
     "InterleavedRun", "SCHEDULE_ADVERSARIAL", "SCHEDULE_ROUNDROBIN",
     "SCHEDULES", "ScheduleSpec", "run_interleaved",
     "DEFAULT_MAX_ULP", "DEFAULT_SEEDS", "DEFAULT_THREADS",
-    "KernelSpec", "bitwise_equal", "build_kernel", "compare_states",
-    "ulp_diff", "validate_plan",
+    "KernelSpec", "bitwise_equal", "build_kernel", "ulp_diff",
+    "validate_plan",
     "AppAdvice", "SelfCheckResult", "advise_app", "advise_program",
     "build_privatization_demo", "build_racy_demo", "build_reduction_demo",
     "render_table", "self_check",

@@ -24,6 +24,7 @@ from repro.ir.ast_nodes import Program
 from repro.ir.builder import ProgramBuilder
 from repro.ir.lowering import lower_program
 from repro.ir.verify import verify_program
+from repro.lint.shared_analysis import program_analysis
 from repro.profiler.interpreter import profile_program
 from repro.advisor.plan import (
     AdvicePlan,
@@ -53,10 +54,15 @@ def advise_program(
     array_rng: int = 0,
 ) -> Dict[str, AdvicePlan]:
     """Build and (optionally) execution-validate plans for every loop."""
-    ir = lower_program(program)
+    analysis = program_analysis(program)
+    # the shared analysis's O0 lowering is the one the plans profile; a
+    # program it could not lower raises here, as lowering it would
+    ir = analysis.ir if analysis.ir is not None else lower_program(program)
     verify_program(ir)
     report = profile_program(ir)
-    plans = build_advice_plans(program, ir, report, model_verdicts)
+    plans = build_advice_plans(
+        program, ir, report, model_verdicts, analysis=analysis
+    )
     if not validate:
         return plans
     return {

@@ -27,7 +27,9 @@ report, the on-disk artifacts linted by rule ``AD001``, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.analysis.patterns import classify_all_patterns
 from repro.analysis.reduction import find_reductions
@@ -42,6 +44,9 @@ from repro.lint.static_dep import (
 )
 from repro.profiler.report import ProfileReport
 from repro.profiler.static_info import program_block_sets
+
+if TYPE_CHECKING:
+    from repro.lint.shared_analysis import ProgramAnalysis
 
 #: Confidence tiers, in decreasing trust order.
 TIER_PROVER_CONFIRMED = "prover_confirmed"
@@ -233,6 +238,7 @@ def build_advice_plans(
     ir_program: IRProgram,
     report: ProfileReport,
     model_verdicts: Optional[Mapping[str, int]] = None,
+    analysis: Optional[ProgramAnalysis] = None,
 ) -> Dict[str, AdvicePlan]:
     """Fuse verdicts, proofs, and analysis evidence into per-loop plans.
 
@@ -243,13 +249,16 @@ def build_advice_plans(
     *not* run here; plans come back ``pending`` and
     :func:`repro.advisor.validate.validate_plan` fills the record in.
 
-    ``ir_program`` must be ``program``'s O0 lowering, as the driver builds
-    it: the plans reuse the loop block sets the prover context computed on
-    the shared analysis's own O0 lowering of ``program``, which agrees
-    with it block for block.
+    ``ir_program`` must be ``program``'s O0 lowering: the plans reuse the
+    loop block sets the prover context computed on the shared analysis's
+    O0 lowering of ``program``, which agrees with it block for block (the
+    driver passes that lowering itself).  ``analysis`` is ``program``'s
+    shared analysis when the caller already has it.
     """
     loops = ir_program.all_loops()
-    context = build_prover_context(program)
+    context = (
+        build_prover_context(program) if analysis is None else analysis.context
+    )
     statics = static_loop_verdicts(program, context=context)
     if context is not None:
         block_sets = context.block_sets

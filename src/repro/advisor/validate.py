@@ -106,7 +106,13 @@ def _packed(values: List[float]) -> bytes:
 
 
 class _Reference:
-    """A reference state, packed once, that run states are compared to."""
+    """A reference state, packed once, that run states are compared to.
+
+    :meth:`mismatch` names the first difference under the policy, or
+    returns None: bitwise equality everywhere, except ``advout`` elements
+    listed in ``reduction_slots``, which tolerate ``max_ulp`` ULPs of
+    reassociation.
+    """
 
     def __init__(
         self,
@@ -139,20 +145,6 @@ class _Reference:
                 elif not bitwise_equal(a, b):
                     return f"{name}[{i}]: {float(a)!r} vs {float(b)!r} (bitwise)"
         return None
-
-
-def compare_states(
-    ref: Dict[str, List[float]],
-    got: Dict[str, List[float]],
-    reduction_slots: Sequence[int],
-    max_ulp: float,
-) -> Optional[str]:
-    """First mismatch under the policy, or None when equivalent.
-
-    Bitwise equality everywhere, except ``advout`` elements listed in
-    ``reduction_slots`` which tolerate ``max_ulp`` ULPs of reassociation.
-    """
-    return _Reference(ref, reduction_slots, max_ulp).mismatch(got)
 
 
 # ---------------------------------------------------------------------------

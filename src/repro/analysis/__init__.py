@@ -1,7 +1,7 @@
 """Loop analysis: Table I features, reduction/privatization recognition, and
 the ground-truth parallelizability oracle."""
 
-from repro.analysis.critical_path import critical_path_length, dependence_dag
+from repro.analysis.critical_path import dependence_dag
 from repro.analysis.reduction import ReductionInfo, find_reductions
 from repro.analysis.privatization import privatizable_scalars
 from repro.analysis.oracle import OracleResult, classify_loop, classify_all_loops
@@ -38,7 +38,7 @@ from repro.analysis.ranges import (
 )
 
 __all__ = [
-    "critical_path_length", "dependence_dag",
+    "dependence_dag",
     "ReductionInfo", "find_reductions",
     "privatizable_scalars",
     "OracleResult", "classify_loop", "classify_all_loops",

@@ -68,13 +68,6 @@ def dependence_dag(
     return nodes, adj
 
 
-def critical_path_length(
-    fn: IRFunction, loop_id: str, report: ProfileReport
-) -> int:
-    """Longest dependence chain (in instructions) within one loop iteration."""
-    return longest_path(*dependence_dag(fn, loop_id, report))
-
-
 def longest_path(
     nodes: List[InstrKey], adj: Dict[InstrKey, List[InstrKey]]
 ) -> int:
@@ -117,14 +110,3 @@ def longest_path(
         return memo[key]
 
     return max(depth(node) for node in nodes)
-
-
-def graph_width(
-    fn: IRFunction, loop_id: str, report: ProfileReport
-) -> float:
-    """Mean available parallelism of the per-iteration DAG: work / CFL."""
-    nodes, adj = dependence_dag(fn, loop_id, report)
-    cfl = longest_path(nodes, adj)
-    if cfl == 0:
-        return 0.0
-    return len(nodes) / cfl

@@ -1170,6 +1170,27 @@ def analyze_program(program: IRProgram) -> ProgramRanges:
 # ---------------------------------------------------------------------------
 
 
+def _harvest_bounds(
+    body: Sequence[ast.Stmt],
+    chain: Tuple[EnclosingBound, ...],
+    out: Dict[str, Tuple[EnclosingBound, ...]],
+) -> None:
+    for stmt in body:
+        if isinstance(stmt, ast.For):
+            if stmt.loop_id is not None:
+                out[stmt.loop_id] = chain
+            _harvest_bounds(
+                stmt.body,
+                chain + (EnclosingBound(stmt.var, stmt.lo, stmt.hi),),
+                out,
+            )
+        elif isinstance(stmt, ast.While):
+            _harvest_bounds(stmt.body, chain, out)
+        elif isinstance(stmt, ast.If):
+            _harvest_bounds(stmt.then_body, chain, out)
+            _harvest_bounds(stmt.else_body, chain, out)
+
+
 def harvest_enclosing_bounds(
     program: ast.Program,
 ) -> Dict[str, Tuple[EnclosingBound, ...]]:
@@ -1178,24 +1199,8 @@ def harvest_enclosing_bounds(
     inner loop's body executes.  Facts through ``While``/``If`` nesting
     are kept — the enclosing ``For`` headers still bracket the body."""
     out: Dict[str, Tuple[EnclosingBound, ...]] = {}
-
-    def walk(body: Sequence[ast.Stmt], chain: Tuple[EnclosingBound, ...]):
-        for stmt in body:
-            if isinstance(stmt, ast.For):
-                if stmt.loop_id is not None:
-                    out[stmt.loop_id] = chain
-                walk(
-                    stmt.body,
-                    chain + (EnclosingBound(stmt.var, stmt.lo, stmt.hi),),
-                )
-            elif isinstance(stmt, ast.While):
-                walk(stmt.body, chain)
-            elif isinstance(stmt, ast.If):
-                walk(stmt.then_body, chain)
-                walk(stmt.else_body, chain)
-
     for fn in program.functions.values():
-        walk(fn.body, ())
+        _harvest_bounds(fn.body, (), out)
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
-from repro.ir.ast_nodes import Const
+from repro.ir.ast_nodes import For
 
 
 class TemplateContext:
@@ -70,8 +70,8 @@ class TemplateContext:
 
     # -- recording ------------------------------------------------------------
 
-    def record(self, scope, label: int, template: str) -> None:
-        loop_id = scope.stmt.loop_id
+    def record(self, loop, label: int, template: str) -> None:
+        loop_id = loop.loop_id
         if loop_id is None:
             raise DatasetError("template loop missing a loop id")
         self.emitted.append((loop_id, int(label), template))
@@ -610,20 +610,12 @@ def t_norm_loop(ctx: TemplateContext) -> None:
 
 
 def _last_loop(fb: FunctionBuilder):
-    """The most recently opened loop scope's statement (for recording)."""
-
-    class _Holder:
-        def __init__(self, stmt) -> None:
-            self.stmt = stmt
-
-    # walk the innermost open scope stack: the loop we just closed is the
-    # last For statement appended to the current scope
-    from repro.ir.ast_nodes import For
-
+    """The most recently opened loop's ``For`` statement (for recording):
+    the last ``For`` appended to the innermost open scope."""
     for scope in reversed(fb._scopes):
         for stmt in reversed(scope):
             if isinstance(stmt, For):
-                return _Holder(stmt)
+                return stmt
     raise DatasetError("no loop emitted yet")
 
 

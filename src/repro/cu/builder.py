@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.linear import (
     Instr,
     IRFunction,
-    IRProgram,
     MEM_READS,
     MEM_WRITES,
     Opcode,
@@ -149,11 +148,3 @@ def cu_index_by_instr(cus: List[CU]) -> Dict[InstrKey, str]:
         for key in cu.instr_keys:
             index[key] = cu.cu_id
     return index
-
-
-def build_program_cus(program: IRProgram) -> List[CU]:
-    """CUs for every function of ``program``."""
-    cus: List[CU] = []
-    for fn in program.functions.values():
-        cus.extend(build_cus(fn))
-    return cus

@@ -22,8 +22,4 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "AssemblyStats", "DropRecord", "ExtractionTask", "WorkerContext",
         "run_extraction_tasks",
     ),
-    "stats": (
-        "DatasetStats", "dataset_stats", "template_label_breakdown",
-        "quirk_report",
-    ),
 })

@@ -46,6 +46,30 @@ from repro.utils.rng import RngLike, ensure_rng
 _OP_SWAPS = {"+": "-", "-": "+", "*": "+", "min": "max", "max": "min"}
 
 
+def _swap_ops(
+    expr: ast.Expr, rng: np.random.Generator, rate: float
+) -> ast.Expr:
+    """``expr`` rebuilt with each swappable operator swapped with
+    probability ``rate``; one draw per swappable operator, operands
+    first (post-order)."""
+    if isinstance(expr, BinOp):
+        lhs = _swap_ops(expr.lhs, rng, rate)
+        rhs = _swap_ops(expr.rhs, rng, rate)
+        op = expr.op
+        if op in _OP_SWAPS and rng.random() < rate:
+            op = _OP_SWAPS[op]
+        return BinOp(op, lhs, rhs)
+    if isinstance(expr, Load):
+        return Load(expr.array, expr.index)  # subscript untouched
+    if isinstance(expr, ast.UnOp):
+        return ast.UnOp(expr.op, _swap_ops(expr.operand, rng, rate))
+    if isinstance(expr, ast.CallExpr):
+        return ast.CallExpr(
+            expr.fn, tuple(_swap_ops(a, rng, rate) for a in expr.args)
+        )
+    return expr
+
+
 def op_substitution(
     program: Program, rng: RngLike = 0, rate: float = 0.4
 ) -> Program:
@@ -57,29 +81,12 @@ def op_substitution(
     """
     rng = ensure_rng(rng)
     out = clone_program(program)
-
-    def rewrite(expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, BinOp):
-            lhs = rewrite(expr.lhs)
-            rhs = rewrite(expr.rhs)
-            op = expr.op
-            if op in _OP_SWAPS and rng.random() < rate:
-                op = _OP_SWAPS[op]
-            return BinOp(op, lhs, rhs)
-        if isinstance(expr, Load):
-            return Load(expr.array, expr.index)  # subscript untouched
-        if isinstance(expr, ast.UnOp):
-            return ast.UnOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, ast.CallExpr):
-            return ast.CallExpr(expr.fn, tuple(rewrite(a) for a in expr.args))
-        return expr
-
     for fn in out.functions.values():
         for stmt in ast.walk_stmts(fn.body):
             if isinstance(stmt, Assign):
-                stmt.expr = rewrite(stmt.expr)
+                stmt.expr = _swap_ops(stmt.expr, rng, rate)
             elif isinstance(stmt, Store):
-                stmt.expr = rewrite(stmt.expr)
+                stmt.expr = _swap_ops(stmt.expr, rng, rate)
     out.name = f"{out.name}+ops"
     return out
 

@@ -9,9 +9,9 @@ from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "common": (
-        "ExperimentContext", "build_context",
+        "ExperimentContext", "build_context", "majority_prior",
         "make_mvgnn_adapter", "make_static_gnn_adapter", "make_ncc_adapter",
-        "make_view_adapters",
+        "make_view_adapter",
     ),
     "table2": ("table2_dataset_statistics",),
     "table3": ("table3_accuracy",),

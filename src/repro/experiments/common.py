@@ -4,26 +4,33 @@
 CPU-friendly fast configuration to the paper-fidelity one (3100+3100
 dataset, six pipelines, 200 epochs, SortPooling k=135) — hours of CPU time;
 EXPERIMENTS.md records results from both.
+
+Every trained model comes from :meth:`ExperimentContext.trained`, which
+trains each (model, seed) once per context: Table III, Table IV, Fig. 7
+and Fig. 8 share one MV-GNN and its curves.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.dataset.assemble import AssembledData, DatasetConfig, assemble_dataset
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNNConfig
 from repro.models.ncc import NCCConfig
 from repro.train.adapters import (
+    ModelAdapter,
     MVGNNAdapter,
     NCCAdapter,
     SingleViewAdapter,
     StaticGNNAdapter,
 )
 from repro.train.config import TrainConfig
-from repro.utils.rng import RngLike
+from repro.train.trainer import TrainingCurves, train_model
 
 
 def full_mode() -> bool:
@@ -37,6 +44,35 @@ class ExperimentContext:
     data: AssembledData
     train_config: TrainConfig
     seed: int = 17
+    _trained: Dict[Tuple[str, int], Tuple[ModelAdapter, TrainingCurves]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def trained(
+        self, model: str, seed: Optional[int] = None
+    ) -> Tuple[ModelAdapter, TrainingCurves]:
+        """``model`` (a key of :data:`MODELS`) trained on the train split,
+        with its curves; trained once per (model, seed) per context.
+
+        A seed shifts the model's initialisation and the trainer's seed by
+        ``seed - self.seed``, so ``self.seed`` is the default run."""
+        seed = self.seed if seed is None else seed
+        key = (model, seed)
+        if key not in self._trained:
+            make, cap = MODELS[model]
+            adapter = make(self, seed)
+            config = self.train_config
+            if cap is not None and not full_mode():
+                config = replace(
+                    config, epochs=min(cap[0], config.epochs), lr=2e-3,
+                    batch_size=32, max_train_samples=cap[1],
+                )
+            config = replace(config, seed=config.seed + seed - self.seed)
+            # MV-GNN records the test-split curves Fig. 7 plots
+            test = self.data.test if model == "MV-GNN" else None
+            curves = train_model(adapter, self.data.train, config, test_data=test)
+            self._trained[key] = (adapter, curves)
+        return self._trained[key]
 
     @property
     def walk_types(self) -> int:
@@ -72,7 +108,9 @@ def _dgcnn_config(ctx: ExperimentContext, in_features: int) -> DGCNNConfig:
     )
 
 
-def make_mvgnn_adapter(ctx: ExperimentContext, rng: RngLike = None) -> MVGNNAdapter:
+def make_mvgnn_adapter(
+    ctx: ExperimentContext, seed: Optional[int] = None
+) -> MVGNNAdapter:
     config = MVGNNConfig(
         semantic_features=ctx.semantic_dim,
         walk_types=ctx.walk_types,
@@ -80,40 +118,62 @@ def make_mvgnn_adapter(ctx: ExperimentContext, rng: RngLike = None) -> MVGNNAdap
         struct_view=_dgcnn_config(ctx, 200),
         temperature=ctx.train_config.temperature,
     )
-    return MVGNNAdapter(config, rng=rng if rng is not None else ctx.seed)
+    return MVGNNAdapter(config, rng=ctx.seed if seed is None else seed)
 
 
 def make_static_gnn_adapter(
-    ctx: ExperimentContext, rng: RngLike = None
+    ctx: ExperimentContext, seed: Optional[int] = None
 ) -> StaticGNNAdapter:
     return StaticGNNAdapter(
         _dgcnn_config(ctx, ctx.semantic_dim),
-        rng=rng if rng is not None else ctx.seed + 1,
+        rng=(ctx.seed if seed is None else seed) + 1,
     )
 
 
-def make_ncc_adapter(ctx: ExperimentContext, rng: RngLike = None) -> NCCAdapter:
+def make_ncc_adapter(
+    ctx: ExperimentContext, seed: Optional[int] = None
+) -> NCCAdapter:
     config = NCCConfig(
         embedding_dim=ctx.data.inst2vec.dim,
         lstm_units=200 if full_mode() else 64,
         max_length=160 if full_mode() else 48,
     )
     return NCCAdapter(
-        config, ctx.data.inst2vec, rng=rng if rng is not None else ctx.seed + 2
+        config, ctx.data.inst2vec, rng=(ctx.seed if seed is None else seed) + 2
     )
 
 
-def make_view_adapters(
-    ctx: ExperimentContext, rng: RngLike = None
-) -> Tuple[SingleViewAdapter, SingleViewAdapter]:
-    base = ctx.seed if rng is None else rng
-    node = SingleViewAdapter(
-        "node", _dgcnn_config(ctx, ctx.semantic_dim), rng=base
+def make_view_adapter(
+    ctx: ExperimentContext, view: str, seed: Optional[int] = None
+) -> SingleViewAdapter:
+    """One single-view model of the Fig. 8 ablation (``"node"`` or
+    ``"structural"``)."""
+    node = view == "node"
+    return SingleViewAdapter(
+        view,
+        _dgcnn_config(ctx, ctx.semantic_dim if node else 64),
+        walk_types=0 if node else ctx.walk_types,
+        rng=ctx.seed if seed is None else seed,
     )
-    struct = SingleViewAdapter(
-        "structural",
-        _dgcnn_config(ctx, 64),
-        walk_types=ctx.walk_types,
-        rng=base,
-    )
-    return node, struct
+
+
+#: model name -> (adapter factory taking (ctx, seed), fast-configuration
+#: budget as (epoch cap, training-sample cap; 0 = all), or None for the
+#: shared TrainConfig).  NCC's LSTMs dominate CPU cost.
+MODELS = {
+    "MV-GNN": (make_mvgnn_adapter, None),
+    "Static GNN": (make_static_gnn_adapter, None),
+    "NCC": (make_ncc_adapter, (10, 300)),
+    "node view": (
+        lambda ctx, seed: make_view_adapter(ctx, "node", seed), (15, 0)
+    ),
+    "structural view": (
+        lambda ctx, seed: make_view_adapter(ctx, "structural", seed), (15, 0)
+    ),
+}
+
+
+def majority_prior(labels: np.ndarray) -> float:
+    """Accuracy (%) of always predicting the majority class of ``labels``."""
+    share = float(np.mean(labels))
+    return 100.0 * max(share, 1.0 - share)

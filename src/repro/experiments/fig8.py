@@ -2,21 +2,18 @@
 
 Paper findings to reproduce in shape: the views agree broadly (multi-view
 beats either alone) and the node-feature view is the more important one on
-all three suites.
+all three suites.  Each row also gives the accuracy of the multi-view and
+both single-view models on the suite, with its size and majority prior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Optional, Sequence
 
+from repro.train.eval import evaluate_adapter
 from repro.train.importance import view_importance
-from repro.train.trainer import train_model
-from repro.experiments.common import (
-    ExperimentContext,
-    make_mvgnn_adapter,
-    make_view_adapters,
-)
+from repro.experiments.common import ExperimentContext, majority_prior
 
 #: Approximate values read off the paper's Fig. 8 bar chart.
 PAPER_FIG_8: Dict[str, Dict[str, float]] = {
@@ -25,20 +22,40 @@ PAPER_FIG_8: Dict[str, Dict[str, float]] = {
     "BOTS": {"IMP_n": 0.90, "IMP_s": 0.82},
 }
 
+#: the multi-view model, then the node and structural single-view models
+VIEWS = ("MV-GNN", "node view", "structural view")
+
+
+@dataclass
+class Fig8Row:
+    seed: int
+    suite: str
+    loops: int
+    prior: float                     # majority-class share, percent
+    accuracy: Dict[str, float]       # per VIEWS model, percent
+    importance: Dict[str, float]     # N_multi, N_n, N_s, IMP_n, IMP_s
+
 
 @dataclass
 class Fig8Result:
-    importance: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    rows: List[Fig8Row] = field(default_factory=list)
 
     def format(self) -> str:
         lines = [
-            f"{'Benchmark':<12}{'IMP_n':>8}{'IMP_s':>8}"
-            f"{'paper n':>9}{'paper s':>9}"
+            f"{'Seed':<6}{'Benchmark':<12}{'Loops':>6}{'Prior':>7}"
+            f"{'Acc mv':>8}{'Acc n':>7}{'Acc s':>7}"
+            f"{'N_multi':>8}{'N_n':>6}{'N_s':>6}"
+            f"{'IMP_n':>8}{'IMP_s':>8}{'paper n':>9}{'paper s':>9}"
         ]
-        for suite, values in self.importance.items():
-            paper = PAPER_FIG_8.get(suite, {})
+        for row in self.rows:
+            imp = row.importance
+            acc = [row.accuracy[name] for name in VIEWS]
+            paper = PAPER_FIG_8.get(row.suite, {})
             lines.append(
-                f"{suite:<12}{values['IMP_n']:>8.2f}{values['IMP_s']:>8.2f}"
+                f"{row.seed:<6}{row.suite:<12}{row.loops:>6}{row.prior:>7.1f}"
+                f"{acc[0]:>8.1f}{acc[1]:>7.1f}{acc[2]:>7.1f}"
+                f"{imp['N_multi']:>8.0f}{imp['N_n']:>6.0f}{imp['N_s']:>6.0f}"
+                f"{imp['IMP_n']:>8.2f}{imp['IMP_s']:>8.2f}"
                 f"{paper.get('IMP_n', float('nan')):>9.2f}"
                 f"{paper.get('IMP_s', float('nan')):>9.2f}"
             )
@@ -46,19 +63,25 @@ class Fig8Result:
 
 
 def fig8_view_importance(
-    ctx: ExperimentContext, verbose: bool = False
+    ctx: ExperimentContext, seeds: Optional[Sequence[int]] = None
 ) -> Fig8Result:
-    """Train the multi-view model and both single-view models, then compute
-    IMP_n / IMP_s per suite."""
-    multi = make_mvgnn_adapter(ctx)
-    node_view, struct_view = make_view_adapters(ctx)
-    for adapter in (multi, node_view, struct_view):
-        train_model(adapter, ctx.data.train, ctx.train_config, verbose=verbose)
-
-    suites = {
-        suite: ctx.data.benchmark.by_suite(suite)
-        for suite in ("NPB", "PolyBench", "BOTS")
-    }
-    return Fig8Result(
-        importance=view_importance(multi, node_view, struct_view, suites)
-    )
+    """IMP_n / IMP_s of every non-empty suite (all its loops), per seed
+    (default: ``ctx.seed``)."""
+    sets = {suite: ctx.data.benchmark.by_suite(suite) for suite in PAPER_FIG_8}
+    sets = {suite: data for suite, data in sets.items() if len(data)}
+    result = Fig8Result()
+    for seed in seeds or (ctx.seed,):
+        models = [ctx.trained(name, seed)[0] for name in VIEWS]
+        importance = view_importance(*models, sets)
+        result.rows.extend(
+            Fig8Row(
+                seed, suite, len(data), majority_prior(data.labels()),
+                {
+                    name: 100.0 * evaluate_adapter(model, data)
+                    for name, model in zip(VIEWS, models)
+                },
+                importance[suite],
+            )
+            for suite, data in sets.items()
+        )
+    return result

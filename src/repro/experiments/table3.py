@@ -5,27 +5,21 @@ NCC (models trained on the balanced train split) and Pluto / AutoPar /
 DiscoPoP (votes recorded during extraction), each evaluated on the held-out
 loops of NPB, PolyBench, BOTS, and the Generated test split.
 
-Paper reference values are attached to every row so the benchmark harness
-can print measured-vs-paper side by side.
+Every row carries the number of evaluated loops, the evaluation set's
+majority-class prior and the paper's value, so the benchmark harness can
+print measured-vs-paper side by side and gate accuracies on the prior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.dataset.types import LoopDataset
 from repro.mlbase import AdaBoost, DecisionTree, KernelSVM, StandardScaler
 from repro.mlbase.metrics import accuracy
-from repro.train.adapters import ModelAdapter
 from repro.train.eval import evaluate_adapter, evaluate_tool_votes
-from repro.train.trainer import train_model
-from repro.experiments.common import (
-    ExperimentContext,
-    make_mvgnn_adapter,
-    make_ncc_adapter,
-    make_static_gnn_adapter,
-)
+from repro.experiments.common import ExperimentContext, majority_prior
 
 #: Table III of the paper (accuracy %, per suite and method).
 PAPER_TABLE_III: Dict[str, Dict[str, float]] = {
@@ -48,7 +42,9 @@ PAPER_TABLE_III: Dict[str, Dict[str, float]] = {
     },
 }
 
-_SUITES = ("NPB", "PolyBench", "BOTS", "Generated")
+SUITES = ("NPB", "PolyBench", "BOTS", "Generated")
+LEARNED = ("MV-GNN", "Static GNN", "NCC")
+TOOLS = ("Pluto", "AutoPar", "DiscoPoP")
 
 
 @dataclass
@@ -56,109 +52,111 @@ class Table3Row:
     suite: str
     method: str
     accuracy: float                  # measured, in percent
+    loops: int                       # evaluated loops
+    prior: float                     # majority-class share of them, percent
     paper: Optional[float]           # paper-reported, in percent
+    seed: int
+
+    @classmethod
+    def scored(
+        cls, suite: str, method: str, fraction: float, data: LoopDataset,
+        seed: int,
+    ) -> "Table3Row":
+        """The row of ``method`` scoring ``fraction`` correct on ``data``."""
+        return cls(
+            suite, method, 100.0 * fraction, len(data),
+            majority_prior(data.labels()),
+            PAPER_TABLE_III.get(suite, {}).get(method), seed,
+        )
+
+    @property
+    def above_prior(self) -> bool:
+        """The accuracy beats always answering the majority class."""
+        return self.accuracy > self.prior
 
 
 @dataclass
 class Table3Result:
     rows: List[Table3Row] = field(default_factory=list)
 
-    def get(self, suite: str, method: str) -> Optional[float]:
+    def get(self, suite: str, method: str) -> Optional[Table3Row]:
+        """The first seed's row of ``method`` on ``suite``."""
         for row in self.rows:
-            if row.suite == suite and row.method == method:
-                return row.accuracy
+            if (row.suite, row.method) == (suite, method):
+                return row
         return None
 
+    def grid(self) -> Dict[str, Dict[str, float]]:
+        """{suite: {method: accuracy}} of the first seed."""
+        grid: Dict[str, Dict[str, float]] = {}
+        for row in self.rows:
+            if row.seed == self.rows[0].seed:
+                grid.setdefault(row.suite, {})[row.method] = row.accuracy
+        return grid
+
     def format(self) -> str:
-        lines = [f"{'Benchmark':<12}{'Model/Tool':<16}{'Acc(%)':>8}{'Paper':>8}"]
+        seeded = len({row.seed for row in self.rows}) > 1
+        lines = [
+            ("Seed  " if seeded else "")
+            + f"{'Benchmark':<12}{'Model/Tool':<16}{'Acc(%)':>8}"
+            f"{'Loops':>7}{'Prior':>7}{'Paper':>8}"
+        ]
         for row in self.rows:
             paper = f"{row.paper:.1f}" if row.paper is not None else "-"
             lines.append(
-                f"{row.suite:<12}{row.method:<16}{row.accuracy:>8.1f}{paper:>8}"
+                (f"{row.seed:<6}" if seeded else "")
+                + f"{row.suite:<12}{row.method:<16}{row.accuracy:>8.1f}"
+                f"{row.loops:>7}{row.prior:>7.1f}{paper:>8}"
             )
         return "\n".join(lines)
 
 
-def _eval_sets(ctx: ExperimentContext) -> Dict[str, LoopDataset]:
-    sets = {}
-    for suite in ("NPB", "PolyBench", "BOTS"):
-        sets[suite] = ctx.data.benchmark_eval(suite)
-    sets["Generated"] = ctx.data.test_suite("Generated")
-    return sets
-
-
-def _classical_models(ctx: ExperimentContext):
-    seed = ctx.seed
-    return {
-        "SVM": KernelSVM(gamma=0.5, epochs=80, rng=seed),
-        "Decision Tree": DecisionTree(max_depth=6),
-        "AdaBoost": AdaBoost(n_estimators=60, max_depth=2),
+def eval_sets(ctx: ExperimentContext) -> Dict[str, LoopDataset]:
+    """The non-empty evaluation set of every suite: held-out benchmark
+    loops, and the Generated test split."""
+    sets = {
+        suite: ctx.data.benchmark_eval(suite) for suite in SUITES[:3]
     }
+    sets["Generated"] = ctx.data.test_suite("Generated")
+    return {suite: data for suite, data in sets.items() if len(data)}
 
 
 def table3_accuracy(
-    ctx: ExperimentContext,
-    include_ncc: bool = True,
-    verbose: bool = False,
+    ctx: ExperimentContext, seeds: Optional[Sequence[int]] = None
 ) -> Table3Result:
-    """Train every model and fill the Table III grid."""
-    eval_sets = _eval_sets(ctx)
+    """Fill the Table III grid once per seed (default: ``ctx.seed``)."""
+    sets = eval_sets(ctx)
     train = ctx.data.train
-    result = Table3Result()
-
-    # -- GNN models --------------------------------------------------------
-    adapters: Dict[str, ModelAdapter] = {
-        "MV-GNN": make_mvgnn_adapter(ctx),
-        "Static GNN": make_static_gnn_adapter(ctx),
-    }
-    if include_ncc:
-        adapters["NCC"] = make_ncc_adapter(ctx)
-    trained: Dict[str, ModelAdapter] = {}
-    for name, adapter in adapters.items():
-        train_model(adapter, train, ctx.train_config, verbose=verbose)
-        trained[name] = adapter
-
-    # -- classical baselines on Table I features -----------------------------------
     scaler = StandardScaler()
     x_train = scaler.fit_transform(train.feature_matrix())
     y_train = train.labels()
-    classical = _classical_models(ctx)
-    for model in classical.values():
-        model.fit(x_train, y_train)
-
-    # -- fill the grid ----------------------------------------------------------
-    for suite in _SUITES:
-        data = eval_sets[suite]
-        if not len(data):
-            continue
-        paper_row = PAPER_TABLE_III.get(suite, {})
-        for name, adapter in trained.items():
-            result.rows.append(
-                Table3Row(
-                    suite,
-                    name,
-                    100.0 * evaluate_adapter(adapter, data),
-                    paper_row.get(name),
-                )
+    result = Table3Result()
+    for seed in seeds or (ctx.seed,):
+        learned = {name: ctx.trained(name, seed)[0] for name in LEARNED}
+        # classical baselines on Table I features
+        classical = {
+            "SVM": KernelSVM(gamma=0.5, epochs=80, rng=seed),
+            "Decision Tree": DecisionTree(max_depth=6),
+            "AdaBoost": AdaBoost(n_estimators=60, max_depth=2),
+        }
+        for model in classical.values():
+            model.fit(x_train, y_train)
+        for suite, data in sets.items():
+            x_eval = scaler.transform(data.feature_matrix())
+            y_eval = data.labels()
+            scores = {
+                name: evaluate_adapter(adapter, data)
+                for name, adapter in learned.items()
+            }
+            scores.update(
+                (name, accuracy(y_eval, model.predict(x_eval)))
+                for name, model in classical.items()
             )
-        x_eval = scaler.transform(data.feature_matrix())
-        y_eval = data.labels()
-        for name, model in classical.items():
-            result.rows.append(
-                Table3Row(
-                    suite,
-                    name,
-                    100.0 * accuracy(y_eval, model.predict(x_eval)),
-                    paper_row.get(name),
-                )
+            scores.update(
+                (tool, evaluate_tool_votes(tool, data)) for tool in TOOLS
             )
-        for tool in ("Pluto", "AutoPar", "DiscoPoP"):
-            result.rows.append(
-                Table3Row(
-                    suite,
-                    tool,
-                    100.0 * evaluate_tool_votes(tool, data),
-                    paper_row.get(tool),
-                )
+            result.rows.extend(
+                Table3Row.scored(suite, name, fraction, data, seed)
+                for name, fraction in scores.items()
             )
     return result

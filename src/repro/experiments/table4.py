@@ -7,13 +7,10 @@ many it identifies as parallelizable per application (787 -> 731 overall).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.dataset.types import LoopDataset
-from repro.train.adapters import ModelAdapter
 from repro.train.eval import count_identified_parallel
-from repro.train.trainer import train_model
-from repro.experiments.common import ExperimentContext, make_mvgnn_adapter
+from repro.experiments.common import ExperimentContext
 
 #: Table IV of the paper: app -> (loops, identified parallelizable).
 PAPER_TABLE_IV: Dict[str, Tuple[int, int]] = {
@@ -58,17 +55,10 @@ class Table4Result:
         return "\n".join(lines)
 
 
-def table4_npb_case_study(
-    ctx: ExperimentContext,
-    adapter: Optional[ModelAdapter] = None,
-    verbose: bool = False,
-) -> Table4Result:
-    """Train MV-GNN (unless a trained adapter is given) and count identified
-    parallelizable loops over the full NPB benchmark population."""
-    if adapter is None:
-        adapter = make_mvgnn_adapter(ctx)
-        train_model(adapter, ctx.data.train, ctx.train_config, verbose=verbose)
-
+def table4_npb_case_study(ctx: ExperimentContext) -> Table4Result:
+    """Count the loops the shared MV-GNN identifies as parallelizable over
+    the full NPB benchmark population."""
+    adapter, _curves = ctx.trained("MV-GNN")
     result = Table4Result()
     for app in _NPB_APPS:
         data = ctx.data.benchmark.by_app(app)

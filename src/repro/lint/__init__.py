@@ -46,14 +46,11 @@ from repro.lint.core import (
     LintReport,
     Rule,
     Severity,
-    all_rules,
-    get_rule,
     render_json,
     render_text,
     rule,
 )
 from repro.lint.runner import (
-    lint_advice_plans,
     lint_dataset,
     lint_graph_arrays,
     lint_ir,
@@ -93,12 +90,9 @@ __all__ = [
     "Rule",
     "Severity",
     "StaticVerdict",
-    "all_rules",
     "analysis_scope",
     "analyze_loop_static",
     "build_prover_context",
-    "get_rule",
-    "lint_advice_plans",
     "lint_dataset",
     "lint_graph_arrays",
     "lint_ir",

@@ -74,15 +74,6 @@ def rule(rule_id: str, layer: str, severity: Severity, summary: str) -> Rule:
     return r
 
 
-def all_rules() -> List[Rule]:
-    """All registered rules, sorted by ID."""
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    return _REGISTRY[rule_id]
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Knobs shared by all lint entry points.

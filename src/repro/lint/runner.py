@@ -17,7 +17,6 @@ from repro.dataset.types import LoopDataset, LoopSample
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import IRProgram
 from repro.lint import (
-    advisor_rules,
     dataset_rules,
     graph_rules,
     ir_rules,
@@ -122,27 +121,6 @@ def lint_quantized_consistency(
     report.stats["quantized_consistency"] = tape_rules.check_quantized_consistency(
         report, samples, max_graphs=max_graphs, calibration=calibration
     )
-    return report
-
-
-def lint_advice_plans(
-    plans: Mapping[str, object],
-    programs: Mapping[str, ast.Program],
-    config: Optional[LintConfig] = None,
-) -> LintReport:
-    """AD001: stored advice plans versus a fresh static-prover run.
-
-    ``plans`` maps loop ids to :class:`~repro.advisor.plan.AdvicePlan`
-    objects or their wire dicts (the ``/v1/advise`` index format);
-    ``programs`` maps program names to their MiniC ASTs.
-    """
-    report = LintReport(config)
-    t0 = time.perf_counter()
-    judged = advisor_rules.check_advice_plans(report, plans, programs)
-    report.note_rule(
-        "AD001", checked=judged, wall_ms=(time.perf_counter() - t0) * 1e3
-    )
-    report.stats["advice_plans"] = {"judged": judged, "stored": len(plans)}
     return report
 
 

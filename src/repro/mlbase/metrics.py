@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,21 +24,3 @@ def _validate(y_true, y_pred) -> Tuple[np.ndarray, np.ndarray]:
 def accuracy(y_true, y_pred) -> float:
     y_true, y_pred = _validate(y_true, y_pred)
     return float((y_true == y_pred).mean())
-
-
-def confusion_matrix(y_true, y_pred, num_classes: int = 2) -> np.ndarray:
-    y_true, y_pred = _validate(y_true, y_pred)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
-
-
-def precision_recall_f1(y_true, y_pred, positive: int = 1) -> Dict[str, float]:
-    y_true, y_pred = _validate(y_true, y_pred)
-    tp = int(((y_pred == positive) & (y_true == positive)).sum())
-    fp = int(((y_pred == positive) & (y_true != positive)).sum())
-    fn = int(((y_pred != positive) & (y_true == positive)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}

@@ -9,7 +9,7 @@ statistics, and carried-dependence density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -91,12 +91,3 @@ def hierarchy_depth(peg: PEG) -> int:
             for child in peg.children(node):
                 stack.append((child, depth + 1))
     return best
-
-
-def population_summary(pegs: List[PEG]) -> Dict[str, float]:
-    """Mean metrics over a population of (sub-)PEGs."""
-    if not pegs:
-        return {}
-    rows = [peg_metrics(p).as_dict() for p in pegs]
-    keys = rows[0].keys()
-    return {key: float(np.mean([r[key] for r in rows])) for key in keys}

@@ -15,7 +15,7 @@ from repro._lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     "report": ("DepKind", "DepInfo", "LoopStats", "ProfileReport", "InstrKey"),
     "shadow": ("ShadowMemory",),
-    "interpreter": ("Interpreter", "profile_program", "run_program"),
+    "interpreter": ("Interpreter", "profile_program"),
     "static_info": ("cfg_edges", "predecessors", "block_loop_map"),
     # the estimator imports the tools and, through them, every analysis
     "static_estimator": ("estimate_profile", "estimate_trip_count"),

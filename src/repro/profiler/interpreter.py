@@ -764,16 +764,6 @@ class Interpreter:
                 raise ins[2]
 
 
-def run_program(
-    program: IRProgram,
-    args: Tuple[float, ...] = (),
-    rng: RngLike = 0,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-) -> ProfileReport:
-    """Execute ``program`` without dependence recording (fast validation)."""
-    return Interpreter(program, record=False, rng=rng, max_steps=max_steps).run(args)
-
-
 def profile_program(
     program: IRProgram,
     args: Tuple[float, ...] = (),

@@ -106,13 +106,3 @@ def loop_instr_keys(
             for instr in block.instrs:
                 keys.add((fn.name, instr.iid))
     return keys
-
-
-def loop_children(fn: IRFunction) -> Dict[Optional[str], List[str]]:
-    """Map loop id (or None for top level) -> directly nested loop ids."""
-    children: Dict[Optional[str], List[str]] = {}
-    for info in fn.loops.values():
-        children.setdefault(info.parent, []).append(info.loop_id)
-    for ids in children.values():
-        ids.sort()
-    return children

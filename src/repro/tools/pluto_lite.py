@@ -27,102 +27,112 @@ from repro.tools.affine import AffineForm, gcd_test, normalize_affine
 from repro.tools.base import ParallelismTool, ToolPrediction
 
 
+class _AccessScan:
+    """One pre-order pass over a loop body (see :func:`_collect_accesses`)."""
+
+    def __init__(self) -> None:
+        self.accesses: List[Tuple[str, ast.Expr, bool]] = []
+        self.scalar_events: List[Tuple[str, str]] = []  # ("w"/"r", name)
+        self.has_call = False
+
+    def expr(self, expr: ast.Expr) -> None:
+        for node in ast.walk_exprs(expr):
+            if isinstance(node, ast.Load):
+                self.accesses.append((node.array, node.index, False))
+            elif isinstance(node, ast.Var):
+                self.scalar_events.append(("r", node.name))
+            elif isinstance(node, ast.CallExpr) and not node.is_intrinsic:
+                self.has_call = True
+
+    def stmts(self, stmts: List[ast.Stmt]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, ast.Assign):
+                self.expr(stmt.expr)
+                self.scalar_events.append(("w", stmt.name))
+            elif isinstance(stmt, ast.Store):
+                self.expr(stmt.index)
+                self.expr(stmt.expr)
+                self.accesses.append((stmt.array, stmt.index, True))
+            elif isinstance(stmt, ast.For):
+                self.expr(stmt.lo)
+                self.expr(stmt.hi)
+                self.expr(stmt.step)
+                self.scalar_events.append(("w", stmt.var))
+                self.stmts(stmt.body)
+            elif isinstance(stmt, ast.While):
+                self.expr(stmt.cond)
+                self.stmts(stmt.body)
+            elif isinstance(stmt, ast.If):
+                self.expr(stmt.cond)
+                self.stmts(stmt.then_body)
+                self.stmts(stmt.else_body)
+            elif isinstance(stmt, ast.CallStmt):
+                for arg in stmt.args:
+                    self.expr(arg)
+                if stmt.fn not in ast.INTRINSICS:
+                    self.has_call = True
+            elif isinstance(stmt, ast.Return):
+                if stmt.expr is not None:
+                    self.expr(stmt.expr)
+
+
 def _collect_accesses(
     body: List[ast.Stmt],
 ) -> Tuple[List[Tuple[str, ast.Expr, bool]], List[str], List[str], bool]:
     """(array accesses as (array, index, is_write), scalar writes in order,
     scalar reads in order as flattened pre-order, has_call)."""
-    accesses: List[Tuple[str, ast.Expr, bool]] = []
-    scalar_events: List[Tuple[str, str]] = []  # ("w"/"r", name) in order
-    has_call = False
+    scan = _AccessScan()
+    scan.stmts(body)
+    writes = [n for k, n in scan.scalar_events if k == "w"]
+    reads = [n for k, n in scan.scalar_events if k == "r"]
+    return scan.accesses, writes, reads, scan.has_call
 
-    def scan_expr(expr: ast.Expr) -> None:
-        nonlocal has_call
-        for node in ast.walk_exprs(expr):
-            if isinstance(node, ast.Load):
-                accesses.append((node.array, node.index, False))
-            elif isinstance(node, ast.Var):
-                scalar_events.append(("r", node.name))
-            elif isinstance(node, ast.CallExpr) and not node.is_intrinsic:
-                has_call = True
 
-    def scan(stmts: List[ast.Stmt]) -> None:
-        nonlocal has_call
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                scan_expr(stmt.expr)
-                scalar_events.append(("w", stmt.name))
-            elif isinstance(stmt, ast.Store):
-                scan_expr(stmt.index)
-                scan_expr(stmt.expr)
-                accesses.append((stmt.array, stmt.index, True))
-            elif isinstance(stmt, ast.For):
-                scan_expr(stmt.lo)
-                scan_expr(stmt.hi)
-                scan_expr(stmt.step)
-                scalar_events.append(("w", stmt.var))
-                scan(stmt.body)
-            elif isinstance(stmt, ast.While):
-                scan_expr(stmt.cond)
-                scan(stmt.body)
-            elif isinstance(stmt, ast.If):
-                scan_expr(stmt.cond)
-                scan(stmt.then_body)
-                scan(stmt.else_body)
-            elif isinstance(stmt, ast.CallStmt):
-                for arg in stmt.args:
-                    scan_expr(arg)
-                if stmt.fn not in ast.INTRINSICS:
-                    has_call = True
-            elif isinstance(stmt, ast.Return):
-                if stmt.expr is not None:
-                    scan_expr(stmt.expr)
+def _var_events_expr(
+    expr: ast.Expr, var: str, events: List[Tuple[str, str]]
+) -> None:
+    for node in ast.walk_exprs(expr):
+        if isinstance(node, ast.Var) and node.name == var:
+            events.append(("r", node.name))
 
-    scan(body)
-    writes = [n for k, n in scalar_events if k == "w"]
-    reads = [n for k, n in scalar_events if k == "r"]
-    return accesses, writes, reads, has_call
+
+def _var_events(
+    stmts: List[ast.Stmt], var: str, events: List[Tuple[str, str]]
+) -> None:
+    """Append the reads and writes of scalar ``var`` in textual order."""
+    for stmt in stmts:
+        if isinstance(stmt, ast.Assign):
+            _var_events_expr(stmt.expr, var, events)
+            if stmt.name == var:
+                events.append(("w", var))
+        elif isinstance(stmt, ast.Store):
+            _var_events_expr(stmt.index, var, events)
+            _var_events_expr(stmt.expr, var, events)
+        elif isinstance(stmt, ast.For):
+            _var_events_expr(stmt.lo, var, events)
+            _var_events_expr(stmt.hi, var, events)
+            if stmt.var == var:
+                events.append(("w", var))
+            _var_events(stmt.body, var, events)
+            _var_events_expr(stmt.step, var, events)
+        elif isinstance(stmt, ast.While):
+            _var_events_expr(stmt.cond, var, events)
+            _var_events(stmt.body, var, events)
+        elif isinstance(stmt, ast.If):
+            _var_events_expr(stmt.cond, var, events)
+            _var_events(stmt.then_body, var, events)
+            _var_events(stmt.else_body, var, events)
+        elif isinstance(stmt, ast.CallStmt):
+            for arg in stmt.args:
+                _var_events_expr(arg, var, events)
+        elif isinstance(stmt, ast.Return) and stmt.expr is not None:
+            _var_events_expr(stmt.expr, var, events)
 
 
 def _first_event_is_write(body: List[ast.Stmt], var: str) -> bool:
     """Trivial privatization scan: is the first textual access a write?"""
     events: List[Tuple[str, str]] = []
-
-    def scan_expr(expr: ast.Expr) -> None:
-        for node in ast.walk_exprs(expr):
-            if isinstance(node, ast.Var) and node.name == var:
-                events.append(("r", node.name))
-
-    def scan(stmts: List[ast.Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                scan_expr(stmt.expr)
-                if stmt.name == var:
-                    events.append(("w", var))
-            elif isinstance(stmt, ast.Store):
-                scan_expr(stmt.index)
-                scan_expr(stmt.expr)
-            elif isinstance(stmt, ast.For):
-                scan_expr(stmt.lo)
-                scan_expr(stmt.hi)
-                if stmt.var == var:
-                    events.append(("w", var))
-                scan(stmt.body)
-                scan_expr(stmt.step)
-            elif isinstance(stmt, ast.While):
-                scan_expr(stmt.cond)
-                scan(stmt.body)
-            elif isinstance(stmt, ast.If):
-                scan_expr(stmt.cond)
-                scan(stmt.then_body)
-                scan(stmt.else_body)
-            elif isinstance(stmt, ast.CallStmt):
-                for arg in stmt.args:
-                    scan_expr(arg)
-            elif isinstance(stmt, ast.Return) and stmt.expr is not None:
-                scan_expr(stmt.expr)
-
-    scan(stmts=body)
+    _var_events(body, var, events)
     return bool(events) and events[0][0] == "w"
 
 

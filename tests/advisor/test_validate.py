@@ -15,7 +15,6 @@ from repro.advisor import (
     advise_program,
     bitwise_equal,
     build_advice_plans,
-    compare_states,
     self_check,
     ulp_diff,
     validate_plan,
@@ -25,7 +24,7 @@ from repro.advisor.driver import (
     build_racy_demo,
     build_reduction_demo,
 )
-from repro.advisor.validate import OUT_ARRAY, build_kernel
+from repro.advisor.validate import OUT_ARRAY, _Reference, build_kernel
 from repro.ir.builder import ProgramBuilder
 
 from tests.helpers import (
@@ -102,6 +101,11 @@ class TestUlpMath:
     def test_bitwise_equal_distinguishes_signed_zero(self):
         assert bitwise_equal(0.0, 0.0)
         assert not bitwise_equal(0.0, -0.0)
+
+
+def compare_states(ref, got, reduction_slots, max_ulp):
+    """The validator's comparison of a run's state against its reference."""
+    return _Reference(ref, reduction_slots, max_ulp).mismatch(got)
 
 
 class TestCompareStates:

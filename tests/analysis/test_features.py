@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.critical_path import critical_path_length, graph_width
+from repro.analysis.critical_path import dependence_dag, longest_path
 from repro.analysis.features import (
     FEATURE_NAMES,
     attach_node_features,
@@ -67,25 +67,30 @@ class TestLoopFeatures:
 
 
 class TestCriticalPath:
+    """The per-iteration dependence DAG and its longest path, as
+    :func:`loop_features` computes the CFL and ESP features from them."""
+
     def test_cfl_positive_for_nonempty_loop(self):
         program = build_mixed_program()
         ir, report = profile(program)
         for loop_id in loop_ids(program):
-            assert critical_path_length(
-                ir.function("main"), loop_id, report
+            assert longest_path(
+                *dependence_dag(ir.function("main"), loop_id, report)
             ) >= 1
 
     def test_width_is_work_over_cfl(self):
         program = build_reduction_program()
         ir, report = profile(program)
         loop_id = loop_ids(program)[0]
-        width = graph_width(ir.function("main"), loop_id, report)
-        assert width >= 1.0
+        nodes, adj = dependence_dag(ir.function("main"), loop_id, report)
+        assert len(nodes) / longest_path(nodes, adj) >= 1.0
 
     def test_unknown_loop_zero(self):
         program = build_reduction_program()
         ir, report = profile(program)
-        assert critical_path_length(ir.function("main"), "ghost", report) == 0
+        assert longest_path(
+            *dependence_dag(ir.function("main"), "ghost", report)
+        ) == 0
 
 
 class TestAttachNodeFeatures:

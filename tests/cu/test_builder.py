@@ -1,6 +1,6 @@
 """Computational Unit formation (the paper's Fig. 4 semantics)."""
 
-from repro.cu.builder import build_cus, build_program_cus, cu_index_by_instr
+from repro.cu.builder import build_cus, cu_index_by_instr
 from repro.ir.builder import ProgramBuilder
 from repro.ir.lowering import lower_program
 from repro.ir.linear import MEM_READS, MEM_WRITES
@@ -95,6 +95,8 @@ class TestCUProperties:
         with pb.function("main") as fb:
             fb.store("a", 0, fb.call("helper", 1.0))
         ir = lower_program(pb.build())
-        cus = build_program_cus(ir)
-        functions = {c.function for c in cus}
+        # the PEG builder forms CUs function by function
+        functions = {
+            c.function for fn in ir.functions.values() for c in build_cus(fn)
+        }
         assert functions == {"main", "helper"}

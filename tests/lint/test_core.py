@@ -10,9 +10,8 @@ from repro.lint.core import (
     LintConfig,
     LintReport,
     Severity,
-    all_rules,
+    _REGISTRY,
     findings_to_wire,
-    get_rule,
     render_json,
     render_text,
     rule,
@@ -21,7 +20,7 @@ from repro.lint.core import (
 
 class TestRegistry:
     def test_all_expected_rules_registered(self):
-        ids = {r.rule_id for r in all_rules()}
+        ids = set(_REGISTRY)
         expected = {
             "IR001", "IR002", "IR003",
             "PEG001", "PEG002", "PEG003", "PEG004", "PEG005",
@@ -31,9 +30,8 @@ class TestRegistry:
         assert expected <= ids
 
     def test_rules_sorted_and_described(self):
-        rules = all_rules()
-        assert [r.rule_id for r in rules] == sorted(r.rule_id for r in rules)
-        for r in rules:
+        for rule_id, r in _REGISTRY.items():
+            assert r.rule_id == rule_id
             assert r.summary and r.layer
             assert isinstance(r.severity, Severity)
 
@@ -42,7 +40,7 @@ class TestRegistry:
             rule("IR001", "ir", Severity.ERROR, "again")
 
     def test_get_rule(self):
-        assert get_rule("DS005").layer == "dataset"
+        assert _REGISTRY["DS005"].layer == "dataset"
 
 
 class TestSeverityAndExitCodes:
@@ -51,7 +49,7 @@ class TestSeverityAndExitCodes:
 
     def _report(self, severity, strict=False):
         report = LintReport(LintConfig(strict=strict))
-        report.emit(get_rule("DS003"), "x", "msg", severity=severity)
+        report.emit(_REGISTRY["DS003"], "x", "msg", severity=severity)
         return report
 
     def test_error_fails(self):
@@ -84,7 +82,7 @@ class TestSuppression:
 
     def test_suppressed_findings_counted_not_recorded(self):
         report = LintReport(LintConfig(suppress=("DS003",)))
-        assert report.emit(get_rule("DS003"), "x", "msg") is None
+        assert report.emit(_REGISTRY["DS003"], "x", "msg") is None
         assert report.findings == []
         assert report.suppressed_count == 1
         assert report.exit_code() == 0
@@ -93,20 +91,20 @@ class TestSuppression:
 class TestReportMechanics:
     def test_emit_uses_rule_default_severity(self):
         report = LintReport()
-        f = report.emit(get_rule("DS001"), "sample:x", "dup")
+        f = report.emit(_REGISTRY["DS001"], "sample:x", "dup")
         assert f.severity is Severity.ERROR
 
     def test_severity_override(self):
         report = LintReport()
         f = report.emit(
-            get_rule("DS001"), "x", "m", severity=Severity.WARNING
+            _REGISTRY["DS001"], "x", "m", severity=Severity.WARNING
         )
         assert f.severity is Severity.WARNING
 
     def test_extend_merges_findings_and_stats(self):
         a, b = LintReport(), LintReport()
-        a.emit(get_rule("DS001"), "x", "m")
-        b.emit(get_rule("DS002"), "y", "n")
+        a.emit(_REGISTRY["DS001"], "x", "m")
+        b.emit(_REGISTRY["DS002"], "y", "n")
         b.stats["crossval"] = {"judged": 3}
         a.extend(b)
         assert [f.rule_id for f in a.findings] == ["DS001", "DS002"]
@@ -114,8 +112,8 @@ class TestReportMechanics:
 
     def test_counts_and_accessors(self):
         report = LintReport()
-        report.emit(get_rule("DS001"), "x", "m")
-        report.emit(get_rule("DS003"), "y", "n")
+        report.emit(_REGISTRY["DS001"], "x", "m")
+        report.emit(_REGISTRY["DS003"], "y", "n")
         assert report.counts() == {"ERROR": 1, "WARNING": 1}
         assert len(report.errors) == 1 and len(report.warnings) == 1
 
@@ -123,8 +121,8 @@ class TestReportMechanics:
 class TestReporters:
     def _report(self):
         report = LintReport()
-        report.emit(get_rule("DS003"), "dataset:d", "unbalanced")
-        report.emit(get_rule("DS001"), "sample:x", "dup", {"index": 4})
+        report.emit(_REGISTRY["DS003"], "dataset:d", "unbalanced")
+        report.emit(_REGISTRY["DS001"], "sample:x", "dup", {"index": 4})
         return report
 
     def test_text_sorted_by_severity_then_id(self):

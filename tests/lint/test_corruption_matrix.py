@@ -20,6 +20,8 @@ from repro.dataset.extraction import extract_loop_samples
 from repro.dataset.types import LoopDataset
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import Opcode
+from repro.lint.advisor_rules import check_advice_plans
+from repro.lint.core import LintReport
 from repro.lint.runner import (
     lint_dataset,
     lint_graph_arrays,
@@ -640,6 +642,12 @@ class TestQuantizedConsistency:
 # ---------------------------------------------------------------------------
 
 
+def check_plans(plans, programs):
+    """AD001 over stored plans: (report, number of plans judged)."""
+    report = LintReport()
+    return report, check_advice_plans(report, plans, programs)
+
+
 class TestAdvisorPlanCorruptions:
     @pytest.fixture(scope="class")
     def mixed_plans(self):
@@ -679,18 +687,12 @@ class TestAdvisorPlanCorruptions:
         return program, {lid: p.to_wire() for lid, p in plans.items()}
 
     def test_fresh_plans_silent(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         program, plans = mixed_plans
-        report = lint_advice_plans(plans, {program.name: program})
+        report, judged = check_plans(plans, {program.name: program})
         assert report.findings == []
-        stats = report.stats["advice_plans"]
-        assert stats["stored"] == len(plans)
-        assert stats["judged"] >= 1  # the prover-backed subset
+        assert judged >= 1  # the prover-backed subset
 
     def test_tampered_tier_fires(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         program, plans = mixed_plans
         poisoned = copy.deepcopy(plans)
         confirmed = next(
@@ -700,15 +702,13 @@ class TestAdvisorPlanCorruptions:
         # the corruption class: a plan claiming the prover refuted a loop
         # it actually proved parallel (stale artifact, bad merge)
         poisoned[confirmed]["tier"] = "prover_refuted"
-        report = lint_advice_plans(poisoned, {program.name: program})
+        report, _ = check_plans(poisoned, {program.name: program})
         ad1 = [f for f in report.findings if f.rule_id == "AD001"]
         assert len(ad1) == 1
         assert ad1[0].where == confirmed
         assert ad1[0].details["fresh_verdict"] == "provably_parallel"
 
     def test_renamed_loop_fires(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         program, plans = mixed_plans
         poisoned = copy.deepcopy(plans)
         confirmed = next(
@@ -718,36 +718,30 @@ class TestAdvisorPlanCorruptions:
         plan = poisoned.pop(confirmed)
         plan["loop_id"] = "mixed:main:L99"
         poisoned["mixed:main:L99"] = plan
-        report = lint_advice_plans(poisoned, {program.name: program})
+        report, _ = check_plans(poisoned, {program.name: program})
         assert any(
             f.rule_id == "AD001" and "no longer has" in f.message
             for f in report.findings
         )
 
     def test_malformed_plan_fires(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         program, plans = mixed_plans
         poisoned = dict(plans)
         poisoned["junk"] = {"loop_id": "only-a-loop-id"}
-        report = lint_advice_plans(poisoned, {program.name: program})
+        report, _ = check_plans(poisoned, {program.name: program})
         assert any(
             f.rule_id == "AD001" and "malformed" in f.message
             for f in report.findings
         )
 
     def test_unknown_program_skipped(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         _, plans = mixed_plans
         # lint judges what it can reproduce: no program, no verdict
-        report = lint_advice_plans(plans, {})
+        report, judged = check_plans(plans, {})
         assert report.findings == []
-        assert report.stats["advice_plans"]["judged"] == 0
+        assert judged == 0
 
     def test_model_only_drift_not_judged(self, mixed_plans):
-        from repro.lint.runner import lint_advice_plans
-
         program, plans = mixed_plans
         poisoned = copy.deepcopy(plans)
         model_only = [
@@ -756,5 +750,5 @@ class TestAdvisorPlanCorruptions:
         assert model_only, "mixed program should have a model-only plan"
         for lid in model_only:
             poisoned[lid]["static_verdict"] = "provably_parallel"
-        report = lint_advice_plans(poisoned, {program.name: program})
+        report, _ = check_plans(poisoned, {program.name: program})
         assert "AD001" not in fired(report)

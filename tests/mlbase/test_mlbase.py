@@ -12,8 +12,6 @@ from repro.mlbase import (
     LinearSVM,
     StandardScaler,
     accuracy,
-    confusion_matrix,
-    precision_recall_f1,
 )
 
 
@@ -42,20 +40,6 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             accuracy([], [])
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        np.testing.assert_array_equal(matrix, [[1, 1], [0, 2]])
-
-    def test_precision_recall_f1(self):
-        stats = precision_recall_f1([1, 1, 0, 0], [1, 0, 1, 0])
-        assert stats["precision"] == 0.5
-        assert stats["recall"] == 0.5
-        assert stats["f1"] == 0.5
-
-    def test_degenerate_precision(self):
-        stats = precision_recall_f1([0, 0], [0, 0])
-        assert stats["precision"] == 0.0
 
 
 class TestScaler:

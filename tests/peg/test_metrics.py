@@ -3,7 +3,7 @@
 import pytest
 
 from repro.peg import build_peg, all_loop_subpegs
-from repro.peg.metrics import hierarchy_depth, peg_metrics, population_summary
+from repro.peg.metrics import hierarchy_depth, peg_metrics
 
 from tests.helpers import build_mixed_program, profile
 
@@ -48,10 +48,8 @@ class TestMetrics:
         assert peg_metrics(mixed).mean_degree > 0
 
     def test_population_summary(self, mixed):
-        subs = list(all_loop_subpegs(mixed).values())
-        summary = population_summary(subs)
-        assert summary["n_loops"] >= 1.0
-        assert set(summary) == set(peg_metrics(mixed).as_dict())
-
-    def test_empty_population(self):
-        assert population_summary([]) == {}
+        keys = set(peg_metrics(mixed).as_dict())
+        for sub in all_loop_subpegs(mixed).values():
+            row = peg_metrics(sub).as_dict()
+            assert row["n_loops"] >= 1.0
+            assert set(row) == keys

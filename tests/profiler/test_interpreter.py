@@ -13,7 +13,6 @@ from repro.profiler.interpreter import (
     PRE,
     Interpreter,
     profile_program,
-    run_program,
 )
 
 from tests.helpers import build_reduction_program, run_and_state
@@ -197,7 +196,7 @@ class TestFunctions:
         with pb.function("main") as fb:
             fb.ret(fb.call("double", 21.0))
         ir = lower_program(pb.build())
-        assert run_program(ir).return_value == 42.0
+        assert Interpreter(ir, record=False).run().return_value == 42.0
 
     def test_recursion(self):
         pb = ProgramBuilder("t")
@@ -208,7 +207,7 @@ class TestFunctions:
         with pb.function("main") as fb:
             fb.ret(fb.call("fact", 5.0))
         ir = lower_program(pb.build())
-        assert run_program(ir).return_value == 120.0
+        assert Interpreter(ir, record=False).run().return_value == 120.0
 
     def test_scalars_are_frame_local(self):
         pb = ProgramBuilder("t")
@@ -220,7 +219,7 @@ class TestFunctions:
             fb.assign("ignore", fb.call("clobber"))
             fb.ret("x")
         ir = lower_program(pb.build())
-        assert run_program(ir).return_value == 1.0
+        assert Interpreter(ir, record=False).run().return_value == 1.0
 
     def test_wrong_arity_raises(self):
         pb = ProgramBuilder("t")
@@ -230,7 +229,7 @@ class TestFunctions:
             fb.ret(fb.call("helper", 1.0))
         ir = lower_program(pb.build())
         with pytest.raises(InterpreterError, match="expects 2 args"):
-            run_program(ir)
+            Interpreter(ir, record=False).run()
 
 
 class TestLoopStats:
@@ -283,7 +282,7 @@ class TestMalformedIR:
             Instr(1, Opcode.RET, ()),
         ])])
         with pytest.raises(InterpreterError, match="outside any loop"):
-            run_program(ir)
+            Interpreter(ir, record=False).run()
 
     def test_loopnext_for_another_loop_is_an_interpreter_error(self):
         ir = _hand_built([("entry", [
@@ -292,7 +291,7 @@ class TestMalformedIR:
             Instr(2, Opcode.RET, ()),
         ])])
         with pytest.raises(InterpreterError, match="innermost loop is 'L0'"):
-            run_program(ir)
+            Interpreter(ir, record=False).run()
 
     def test_dead_branch_to_unknown_block_does_not_fault(self):
         ir = _hand_built([
@@ -300,14 +299,14 @@ class TestMalformedIR:
             ("dead", [Instr(1, Opcode.BR, ("nowhere",))]),
             ("dead2", [Instr(2, Opcode.CONDBR, (Imm(1.0), "entry", "nowhere"))]),
         ])
-        assert run_program(ir).return_value == 7.0
+        assert Interpreter(ir, record=False).run().return_value == 7.0
 
     def test_untaken_unknown_condbr_target_does_not_fault(self):
         ir = _hand_built([
             ("entry", [Instr(0, Opcode.CONDBR, (Imm(0.0), "nowhere", "done"))]),
             ("done", [Instr(1, Opcode.RET, (Imm(3.0),))]),
         ])
-        assert run_program(ir).return_value == 3.0
+        assert Interpreter(ir, record=False).run().return_value == 3.0
 
     @pytest.mark.parametrize("cond", [0.0, 1.0])
     def test_executed_branch_to_unknown_block_raises_ir_error(self, cond):
@@ -316,24 +315,24 @@ class TestMalformedIR:
             ("mid", [Instr(1, Opcode.BR, ("nowhere",))]),
         ])
         with pytest.raises(IRError, match="has no block 'nowhere'"):
-            run_program(ir)
+            Interpreter(ir, record=False).run()
 
     def test_unknown_intrinsic_faults_only_when_executed(self):
         call = Instr(1, Opcode.CALL, ("nosuch", Imm(1.0)), Reg("r0"))
         dead = _hand_built([
             ("entry", [Instr(0, Opcode.RET, ())]), ("dead", [call]),
         ])
-        assert run_program(dead).return_value is None
+        assert Interpreter(dead, record=False).run().return_value is None
         live = _hand_built([("entry", [call, Instr(2, Opcode.RET, ())])])
         with pytest.raises(InterpreterError, match="unknown intrinsic 'nosuch'"):
-            run_program(live)
+            Interpreter(live, record=False).run()
 
     def test_ir_mutated_in_place_runs_fresh_code(self):
         ret = Instr(0, Opcode.RET, (Imm(1.0),))
         ir = _hand_built([("entry", [ret])])
-        assert run_program(ir).return_value == 1.0
+        assert Interpreter(ir, record=False).run().return_value == 1.0
         ret.operands = (Imm(2.0),)
-        assert run_program(ir).return_value == 2.0
+        assert Interpreter(ir, record=False).run().return_value == 2.0
 
 
 def _threaded(build_body, arrays=(("a", 4), ("b", 4))):

@@ -7,14 +7,14 @@ import pytest
 from repro.errors import InterpreterError
 from repro.ir.builder import ProgramBuilder
 from repro.ir.lowering import lower_program
-from repro.profiler.interpreter import run_program
+from repro.profiler.interpreter import Interpreter
 
 
 def _eval(expr_builder) -> float:
     pb = ProgramBuilder("t")
     with pb.function("main") as fb:
         fb.ret(expr_builder(fb))
-    return run_program(lower_program(pb.build())).return_value
+    return Interpreter(lower_program(pb.build()), record=False).run().return_value
 
 
 class TestIntrinsics:

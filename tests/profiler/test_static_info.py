@@ -6,7 +6,6 @@ from repro.profiler.static_info import (
     block_loop_map,
     cfg_edges,
     loop_block_sets,
-    loop_children,
     loop_instr_keys,
     predecessors,
 )
@@ -87,8 +86,8 @@ class TestLoopOwnership:
     def test_loop_children_tree(self):
         ir = _nested_ir()
         fn = ir.function("main")
-        children = loop_children(fn)
         outer = next(l for l in fn.loops.values() if l.depth == 0)
         inner = next(l for l in fn.loops.values() if l.depth == 1)
-        assert children[None] == [outer.loop_id]
-        assert children[outer.loop_id] == [inner.loop_id]
+        assert outer.parent is None
+        assert inner.parent == outer.loop_id
+        assert len(fn.loops) == 2

@@ -6,7 +6,7 @@ COV_FLOOR ?= 85
 
 .PHONY: test test-fast test-nightly test-cov test-tape test-train \
 	test-infer test-embed test-imports test-quantize test-advisor test-ranges test-profiler \
-	test-experiments bench \
+	test-experiments test-assembly bench \
 	bench-assembly bench-serve bench-serve-fleet bench-quantized \
 	bench-advisor bench-static serve-fleet serve-smoke docs-check \
 	lint-dataset
@@ -151,6 +151,21 @@ test-profiler:
 # majority-class predictor failing the Table III prior gate.
 test-experiments:
 	$(PYTHON) -m pytest tests/experiments/ -q
+
+# Assembly wall: a cold assembly computes each program's facts once (one
+# O0 lowering, one Pluto and one AutoPar vote per distinct program of
+# the tiny configuration; shared lowerings left unchanged; a 2-worker
+# pool gives the serial fingerprints), the dependence index of a profile
+# against brute-force scans of its table (carried symbols at minimum
+# counts 1 and 2, Table I counts, CFL DAG adjacency order, DiscoPoP
+# verdicts and reasons, a planted dropped dependence, no stale slice
+# after an edit), the rest of the dataset suite and the tool baselines
+# (see docs/ARCHITECTURE.md "Once per program, once per profile").
+test-assembly:
+	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
+		tests/dataset/ \
+		tests/tools/ \
+		tests/profiler/test_dep_index.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

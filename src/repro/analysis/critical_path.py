@@ -59,12 +59,21 @@ def dependence_dag(
                         adj.setdefault(src, []).append(key)
             if instr.result is not None:
                 reg_def[instr.result.name] = key
-    # loop-independent RAW memory dependences inside the loop
-    for (src, dst, kind), dep in report.deps.items():
-        if kind is not DepKind.RAW or dep.independent == 0:
-            continue
-        if src in node_set and dst in node_set and src != dst:
-            adj[src].append(dst)
+    # loop-independent RAW memory dependences inside the loop, appended to
+    # each source's register successors in dependence-table order
+    # (longest_path breaks cycles in DFS order, so the order is part of
+    # the result)
+    by_src = report.dep_index().by_src
+    for src in nodes:
+        for dep in by_src.get(src, ()):
+            dst = dep.dst
+            if (
+                dep.kind is DepKind.RAW
+                and dep.independent
+                and dst in node_set
+                and dst != src
+            ):
+                adj[src].append(dst)
     return nodes, adj
 
 

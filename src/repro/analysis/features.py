@@ -103,16 +103,18 @@ def loop_features(
     work = len(nodes)
     esp = _estimated_speedup(work, cfl)
 
+    # each dependence is met once leaving its source, once entering its sink
+    index = report.dep_index()
     incoming = internal = outgoing = 0
-    for (src, dst, _kind), dep in report.deps.items():
-        src_in = src in keys
-        dst_in = dst in keys
-        if src_in and dst_in:
-            internal += 1
-        elif dst_in:
-            incoming += 1
-        elif src_in:
-            outgoing += 1
+    for key in keys:
+        for dep in index.by_src.get(key, ()):
+            if dep.dst in keys:
+                internal += 1
+            else:
+                outgoing += 1
+        for dep in index.by_dst.get(key, ()):
+            if dep.src not in keys:
+                incoming += 1
 
     return LoopFeatures(
         loop_id=loop_id,

@@ -51,6 +51,7 @@ def classify_loop(
     loop_id: str,
     allowed_reduction_ops: Optional[Set[str]] = None,
     block_sets: Optional[Dict[str, Set[str]]] = None,
+    min_carried: int = 1,
 ) -> OracleResult:
     """Classify one loop; raises if the loop id is unknown.
 
@@ -58,7 +59,9 @@ def classify_loop(
     recognized (tools model their gaps with it — e.g. DiscoPoP's classic
     recognizer covers ``+``/``*`` but not ``min``/``max``); None = all.
     ``block_sets`` is :func:`program_block_sets` of ``program``, for
-    callers that classify many loops.
+    callers that classify many loops.  Dependences the loop carries fewer
+    than ``min_carried`` times are ignored (DiscoPoP's confidence
+    threshold).
     """
     loops = program.all_loops()
     if loop_id not in loops:
@@ -76,14 +79,15 @@ def classify_loop(
             if red.operator in allowed_reduction_ops
         }
     array_names = set(program.arrays)
-    private = privatizable_scalars(report, loop_id, array_names)
+    private = privatizable_scalars(report, loop_id, array_names, min_carried)
 
     own_induction = f"{info.function}::{info.var}" if info.var else None
     blockers: List[str] = []
     used_reductions: Set[str] = set()
     used_private: Set[str] = set()
 
-    for symbol, kinds in report.symbols_carried_by(loop_id).items():
+    carried = report.symbols_carried_by(loop_id, min_carried)
+    for symbol, kinds in carried.items():
         if symbol == own_induction:
             continue
         is_scalar = symbol not in array_names

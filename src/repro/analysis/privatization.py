@@ -15,14 +15,18 @@ from repro.profiler.report import DepKind, ProfileReport
 
 
 def privatizable_scalars(
-    report: ProfileReport, loop_id: str, array_names: Set[str]
+    report: ProfileReport,
+    loop_id: str,
+    array_names: Set[str],
+    min_count: int = 1,
 ) -> Set[str]:
     """Scoped scalar symbols privatizable at ``loop_id``.
 
     ``array_names`` distinguishes global arrays (never privatizable here)
-    from frame-scoped scalars (``fn::var`` symbols).
+    from frame-scoped scalars (``fn::var`` symbols).  Dependences carried
+    fewer than ``min_count`` times are ignored.
     """
-    kinds_by_symbol = report.symbols_carried_by(loop_id)
+    kinds_by_symbol = report.symbols_carried_by(loop_id, min_count)
     out: Set[str] = set()
     for symbol, kinds in kinds_by_symbol.items():
         if symbol in array_names:

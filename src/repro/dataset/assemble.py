@@ -45,13 +45,8 @@ from repro.dataset.types import LoopDataset, LoopSample
 from repro.embeddings.anonwalk import AnonymousWalkSpace
 from repro.embeddings.inst2vec import Inst2Vec
 from repro.errors import DatasetError
-from repro.ir.lowering import lower_program
-from repro.ir.verify import verify_program
-from repro.lint.shared_analysis import (
-    analysis_scope,
-    program_analysis,
-    program_fingerprint,
-)
+from repro.ir.shared import analysis_scope, program_fingerprint, program_ir
+from repro.lint.shared_analysis import program_analysis
 from repro.utils.cache import DiskCache, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rngs, spawn_seeds
 
@@ -342,13 +337,13 @@ def _assemble(config: DatasetConfig) -> AssembledData:
 
     apps = _selected_apps(config)
 
-    inst2vec = _train_inst2vec(apps, config, i2v_rng)
-    walk_space = AnonymousWalkSpace(config.walk_length)
-
     # -- the deterministic task list, one pre-spawned seed per task --------
     tasks = build_extraction_tasks(apps, config, transform_rng)
     for task, seed in zip(tasks, spawn_seeds(extract_rng, len(tasks))):
         task.seed = seed
+
+    inst2vec = _train_inst2vec(tasks, config, i2v_rng)
+    walk_space = AnonymousWalkSpace(config.walk_length)
 
     stats = AssemblyStats(
         n_tasks=len(tasks),
@@ -492,15 +487,21 @@ def _assemble(config: DatasetConfig) -> AssembledData:
     )
 
 
-def _train_inst2vec(apps: Sequence[AppSpec], config: DatasetConfig, rng) -> Inst2Vec:
-    """inst2vec trained on the base-program IR corpus (the corpus is
-    dropped on return rather than held for the rest of the assembly)."""
-    base_irs = []
-    for app in apps:
-        for program in app.programs:
-            ir = lower_program(program)
-            verify_program(ir)
-            base_irs.append(ir)
+def _train_inst2vec(
+    tasks: Sequence[ExtractionTask], config: DatasetConfig, rng
+) -> Inst2Vec:
+    """inst2vec trained on the base-program IR corpus: the O0 lowering of
+    each benchmark-pool task's program, in task order.  Inside the
+    assembly's analysis scope these are the lowerings the program's
+    extraction tasks and range analysis reuse, so the scope holds them
+    until the assembly ends.  Each is verified by its benchmark-pool
+    task, a required one: a base program that fails verification fails
+    the assembly there."""
+    base_irs = [
+        program_ir(task.program, task.program_key or None, verify=False)
+        for task in tasks
+        if task.labels is not None
+    ]
     return Inst2Vec(dim=config.inst2vec_dim).train(
         base_irs, epochs=config.inst2vec_epochs, rng=rng
     )

@@ -23,6 +23,7 @@ from repro.errors import DatasetError
 from repro.ir.ast_nodes import Program
 from repro.ir.linear import IRProgram
 from repro.ir.lowering import lower_program
+from repro.ir.shared import per_program
 from repro.ir.verify import verify_program
 from repro.peg.builder import build_peg
 from repro.peg.graph import PEG
@@ -98,6 +99,7 @@ def extract_loop_samples(
     static_only: bool = False,
     rng: RngLike = 0,
     meta: Optional[Dict[str, object]] = None,
+    program_key: str = "",
 ) -> List[LoopSample]:
     """Extract one sample per labeled loop of ``program``.
 
@@ -105,22 +107,25 @@ def extract_loop_samples(
     :func:`labeled_loops`.  Walks come from the one generator ``rng``,
     threaded through the loops in ``labels`` order.  ``static_only`` zeroes
     the dynamic feature columns (the Static-GNN baseline's world view).
+    ``program_key`` is the program's content key, if the caller has it
+    (see :func:`repro.ir.shared.per_program`).
     """
     rng = ensure_rng(rng)
     ir_program, report, loops = labeled_loops(
         program, labels, variant, ir_program
     )
-    # tool baselines vote once per program; votes ride along on each sample
-    tool_votes = _tool_votes(program, ir_program, report)
+    # the tool baselines' votes ride along on each sample
+    tool_votes = _tool_votes(program, ir_program, report, program_key)
 
     samples: List[LoopSample] = []
+    rows: Dict[str, np.ndarray] = {}  # nested loops' sub-PEGs share nodes
     for loop in loops:
         _ids, x_structural = structural_node_features(
             loop.subpeg, walk_space, gamma=gamma, rng=rng
         )
         samples.append(loop_sample(
             program, variant, suite, app, loop,
-            semantic_matrix(loop.subpeg, inst2vec, static_only),
+            semantic_matrix(loop.subpeg, inst2vec, static_only, rows),
             x_structural,
             tool_votes={
                 tool: votes.get(loop.loop_id, 0)
@@ -132,16 +137,33 @@ def extract_loop_samples(
 
 
 def _tool_votes(
-    program: Program, ir_program: IRProgram, report: ProfileReport
+    program: Program,
+    ir_program: IRProgram,
+    report: ProfileReport,
+    program_key: str = "",
 ) -> Dict[str, Dict[str, int]]:
-    """Run the three tool baselines once over the program."""
+    """The three tool baselines' votes on the variant.
+
+    Pluto and AutoPar read only the AST, so inside an analysis scope they
+    vote once per program, whatever the variant; DiscoPoP reads the
+    variant's profile and votes every time."""
     from repro.tools import AutoParLite, DiscoPoPClassifier, PlutoLite
 
-    votes: Dict[str, Dict[str, int]] = {}
-    for tool in (PlutoLite(), AutoParLite(), DiscoPoPClassifier()):
-        predictions = tool.predict(program, ir_program, report)
-        votes[tool.name] = {k: int(v) for k, v in predictions.items()}
+    votes = dict(per_program(
+        "ast-votes", program, program_key or None,
+        lambda _key: {
+            tool.name: _votes(tool, program, ir_program, report)
+            for tool in (PlutoLite(), AutoParLite())
+        },
+    ))
+    discopop = DiscoPoPClassifier()
+    votes[discopop.name] = _votes(discopop, program, ir_program, report)
     return votes
+
+
+def _votes(tool, program, ir_program, report) -> Dict[str, int]:
+    predictions = tool.predict(program, ir_program, report)
+    return {k: int(v) for k, v in predictions.items()}
 
 
 def subpeg_adjacency(subpeg: PEG) -> np.ndarray:
@@ -162,18 +184,27 @@ def subpeg_adjacency(subpeg: PEG) -> np.ndarray:
 
 
 def semantic_matrix(
-    subpeg: PEG, inst2vec: Inst2Vec, static_only: bool = False
+    subpeg: PEG,
+    inst2vec: Inst2Vec,
+    static_only: bool = False,
+    rows: Optional[Dict[str, np.ndarray]] = None,
 ) -> np.ndarray:
     """``(n, inst2vec.dim + len(FEATURE_NAMES))`` node-view features.
 
     Row order follows ``subpeg.nodes``; columns are the inst2vec mean of
     each node's statements followed by the Table I dynamic feature columns
-    (zeroed when ``static_only``).
+    (zeroed when ``static_only``).  ``rows`` memoizes the inst2vec mean by
+    node id across the sub-PEGs of one PEG.
     """
     n_dyn = len(FEATURE_NAMES)
     out = np.zeros((len(subpeg.nodes), inst2vec.dim + n_dyn))
     for pos, node in enumerate(subpeg.nodes.values()):
-        out[pos, : inst2vec.dim] = inst2vec.embed_sequence(node.statements)
+        row = None if rows is None else rows.get(node.node_id)
+        if row is None:
+            row = inst2vec.embed_sequence(node.statements)
+            if rows is not None:
+                rows[node.node_id] = row
+        out[pos, : inst2vec.dim] = row
         if not static_only:
             out[pos, inst2vec.dim :] = [
                 node.features.get(name, 0.0) for name in FEATURE_NAMES

@@ -43,9 +43,8 @@ from repro.embeddings.anonwalk import AnonymousWalkSpace
 from repro.embeddings.inst2vec import Inst2Vec
 from repro.errors import DatasetError, InterpreterError, IRError
 from repro.ir.ast_nodes import Program
-from repro.ir.lowering import lower_program
 from repro.ir.passes import apply_pipeline
-from repro.ir.verify import verify_program
+from repro.ir.shared import leave_analysis_scope, program_ir
 
 #: suite name of oracle-labeled augmentation samples
 GENERATED_SUITE = "Generated"
@@ -250,11 +249,12 @@ def execute_task(task: ExtractionTask, ctx: WorkerContext) -> List[LoopSample]:
 
     Pure function of (task, ctx): the walk generator is rebuilt from
     ``task.seed`` on every call, so repeated executions — retries, serial
-    vs pooled, any worker — produce identical samples.
+    vs pooled, any worker — produce identical samples.  Inside an
+    :func:`~repro.ir.shared.analysis_scope` the tasks of one
+    program share its verified O0 lowering and its AST tools' votes.
     """
     rng = np.random.default_rng(task.seed)
-    ir = lower_program(task.program)
-    verify_program(ir)
+    ir = program_ir(task.program, task.program_key or None)
     if task.variant != "O0":
         ir = apply_pipeline(ir, task.variant)
     samples = extract_loop_samples(
@@ -268,6 +268,7 @@ def execute_task(task: ExtractionTask, ctx: WorkerContext) -> List[LoopSample]:
         variant=task.variant,
         ir_program=ir,
         rng=rng,
+        program_key=task.program_key,
     )
     for sample in samples:
         if sample.loop_id in task.quirk_loops:
@@ -307,6 +308,7 @@ _WORKER_EXECUTE: Optional[ExecuteFn] = None
 
 def _init_worker(ctx: WorkerContext, execute: ExecuteFn) -> None:
     global _WORKER_CTX, _WORKER_EXECUTE
+    leave_analysis_scope()  # a forked worker computes afresh, as unscoped
     _WORKER_CTX = ctx
     _WORKER_EXECUTE = execute
 

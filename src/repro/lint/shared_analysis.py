@@ -7,15 +7,10 @@ O0 lowering, the value-range fixpoint over that IR
 built from both.  :func:`program_analysis` computes them once per
 program.
 
-Inside an :func:`analysis_scope`, analyses are memoized by program
-*content* (the AST's full ``repr``, which includes its name), so a
-program rebuilt from the same source — ``repro lint`` rebuilds every
-program the assembly already analysed — reuses the stored analysis,
-while two different programs that happen to share a name never do.
-The memo lives exactly as long as the scope: a dataset assembly, a
-DS005 cross-validation and a ``repro lint`` run each open one and drop
-it on exit, so a long-running process (``repro serve``) holds no
-analyses between runs.  Outside a scope every call computes afresh.
+Inside an :func:`~repro.ir.shared.analysis_scope`, the analysis is
+memoized by program content next to the program's shared O0 lowering
+(:func:`repro.ir.shared.program_ir`), which it reuses; outside a scope
+every call computes afresh (see :mod:`repro.ir.shared`).
 
 A program that cannot be lowered or analysed yields a
 :class:`ProgramAnalysis` whose ``error`` says why; consumers fall back
@@ -25,23 +20,17 @@ to their range-free behaviour and DS005 counts the program as
 
 from __future__ import annotations
 
-import contextvars
-import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.analysis.ranges import ProgramRanges, analyze_program
 from repro.ir import ast_nodes as ast
 from repro.ir.linear import IRProgram
-from repro.ir.lowering import lower_program
+from repro.ir.shared import analysis_scope  # noqa: F401 - re-exported
+from repro.ir.shared import per_program, program_ir
 from repro.lint.core import LintReport
 from repro.lint.ir_rules import check_ir_ranges
 from repro.lint.static_dep import ProverContext, prover_context
-
-_SCOPE: contextvars.ContextVar = contextvars.ContextVar(
-    "program_analyses", default=None
-)
 
 
 @dataclass(eq=False)
@@ -50,15 +39,18 @@ class ProgramAnalysis:
     both.
 
     ``ir``/``ranges``/``context`` are None when lowering or the range
-    engine failed; ``error`` then holds the exception text.  The
-    range-condemned loops are derived on first use.
+    engine failed; ``error`` then holds the exception text.  The prover
+    context and the range-condemned loops are derived on first use: the
+    quarantine reads only the loops, the prover only the context.
     """
 
     program: ast.Program
     ir: Optional[IRProgram] = None
     ranges: Optional[ProgramRanges] = None
-    context: Optional[ProverContext] = None
     error: Optional[str] = None
+    _context: Optional[ProverContext] = field(
+        default=None, init=False, repr=False
+    )
     _condemned: Optional[Dict[str, str]] = field(
         default=None, init=False, repr=False
     )
@@ -66,6 +58,13 @@ class ProgramAnalysis:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def context(self) -> Optional[ProverContext]:
+        """The prover context built from ``ir`` and ``ranges``."""
+        if self._context is None and self.ok:
+            self._context = prover_context(self.program, self.ir, self.ranges)
+        return self._context
 
     @property
     def range_error_loops(self) -> Dict[str, str]:
@@ -85,24 +84,16 @@ class ProgramAnalysis:
         return self._condemned
 
 
-def program_fingerprint(program: ast.Program) -> str:
-    """Content key of a MiniC program (its name included)."""
-    return hashlib.sha256(repr(program).encode("utf-8")).hexdigest()
-
-
-def _analyze(program: ast.Program) -> ProgramAnalysis:
+def _analyze(program: ast.Program, key: Optional[str]) -> ProgramAnalysis:
     try:
-        ir = lower_program(program)
+        ir = program_ir(program, key, verify=False)
     except Exception as exc:
         return ProgramAnalysis(program, error=f"lowering: {exc!r}")
     try:
         ranges = analyze_program(ir)
     except Exception as exc:
         return ProgramAnalysis(program, ir=ir, error=f"ranges: {exc!r}")
-    return ProgramAnalysis(
-        program, ir=ir, ranges=ranges,
-        context=prover_context(program, ir, ranges),
-    )
+    return ProgramAnalysis(program, ir=ir, ranges=ranges)
 
 
 def program_analysis(
@@ -110,28 +101,7 @@ def program_analysis(
 ) -> ProgramAnalysis:
     """The shared analysis of ``program`` (memoized inside a scope).
 
-    ``key`` is ``program_fingerprint(program)`` when the caller already
-    has it (hashing a program's repr is not free)."""
-    memo = _SCOPE.get()
-    if memo is None:
-        return _analyze(program)
-    if key is None:
-        key = program_fingerprint(program)
-    analysis = memo.get(key)
-    if analysis is None:
-        analysis = memo[key] = _analyze(program)
-    return analysis
-
-
-@contextmanager
-def analysis_scope() -> Iterator[None]:
-    """Share one :class:`ProgramAnalysis` per distinct program for the
-    enclosed block.  Nested scopes join the outermost one."""
-    if _SCOPE.get() is not None:
-        yield
-        return
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
+    ``key`` is as in :func:`repro.ir.shared.per_program`."""
+    return per_program(
+        "analysis", program, key, lambda key: _analyze(program, key)
+    )

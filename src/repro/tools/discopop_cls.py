@@ -77,37 +77,20 @@ class DiscoPoPClassifier(ParallelismTool):
                     [f"only {iterations} iteration(s) observed: optimistic"],
                 )
                 continue
-            filtered = self._filtered_report(report, loop_id)
             # reduction recognition covers the classic +/* (and -) updates;
             # min/max accumulators are not matched — a systematic gap the
-            # learned models can exploit, as the paper's Table III does
+            # learned models can exploit, as the paper's Table III does;
+            # dependences the loop carries fewer than min_dep_count times
+            # fall below the confidence threshold
             oracle = classify_loop(
-                ir_program, filtered, loop_id,
+                ir_program, report, loop_id,
                 allowed_reduction_ops={"+", "*"}, block_sets=block_sets,
+                min_carried=self.min_dep_count,
             )
             out[loop_id] = ToolPrediction(
                 loop_id, oracle.parallel, list(oracle.blockers)
             )
         return out
-
-    def _filtered_report(
-        self, report: ProfileReport, loop_id: str
-    ) -> ProfileReport:
-        """Apply the dependence-count threshold for one loop's deps."""
-        if self.min_dep_count <= 1:
-            return report
-        filtered = ProfileReport(
-            program_name=report.program_name,
-            loop_stats=report.loop_stats,
-            exec_counts=report.exec_counts,
-        )
-        for key, dep in report.deps.items():
-            if (
-                0 < dep.carried.get(loop_id, 0) < self.min_dep_count
-            ):
-                continue  # below the confidence threshold: dropped
-            filtered.deps[key] = dep
-        return filtered
 
     @staticmethod
     def _loops_containing_calls(

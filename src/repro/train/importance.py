@@ -8,12 +8,12 @@ normalized value IMP_view = N_view / N_multi."  (Section IV-D)
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.dataset.types import LoopDataset
 from repro.errors import DatasetError
+from repro.mlbase.metrics import accuracy
 from repro.train.adapters import ModelAdapter
-from repro.train.eval import count_identified_parallel
 
 
 def view_importance(
@@ -22,14 +22,19 @@ def view_importance(
     struct_adapter: ModelAdapter,
     suites: Dict[str, LoopDataset],
 ) -> Dict[str, Dict[str, float]]:
-    """IMP_n / IMP_s per suite, plus the raw identified-parallel counts."""
+    """IMP_n / IMP_s per suite, plus the raw identified-parallel counts and
+    each model's accuracy (``acc_multi``, ``acc_n``, ``acc_s``, as
+    fractions), all from one prediction per model and suite."""
     out: Dict[str, Dict[str, float]] = {}
     for suite, data in suites.items():
         if not len(data):
             raise DatasetError(f"empty suite {suite!r} for view importance")
-        n_multi = count_identified_parallel(multi_adapter, data)
-        n_node = count_identified_parallel(node_adapter, data)
-        n_struct = count_identified_parallel(struct_adapter, data)
+        labels = data.labels()
+        preds = [
+            adapter.predict(data)
+            for adapter in (multi_adapter, node_adapter, struct_adapter)
+        ]
+        n_multi, n_node, n_struct = (int(p.sum()) for p in preds)
         denom = max(n_multi, 1)
         out[suite] = {
             "N_multi": float(n_multi),
@@ -37,5 +42,8 @@ def view_importance(
             "N_s": float(n_struct),
             "IMP_n": n_node / denom,
             "IMP_s": n_struct / denom,
+            "acc_multi": accuracy(labels, preds[0]),
+            "acc_n": accuracy(labels, preds[1]),
+            "acc_s": accuracy(labels, preds[2]),
         }
     return out

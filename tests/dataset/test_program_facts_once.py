@@ -1,0 +1,97 @@
+"""A cold assembly computes each program's facts once.
+
+On a cold ``DatasetConfig.tiny()`` assembly every distinct program is
+lowered once (the inst2vec corpus, each of its extraction tasks and its
+range analysis share that lowering) and Pluto and AutoPar vote once on
+it, whatever the number of its variants.  No consumer changes a shared
+lowering, and a pooled assembly, whose workers compute afresh, gives the
+serial samples.
+"""
+
+import sys
+
+import pytest
+
+from repro.dataset.assemble import DatasetConfig, _assemble
+from repro.ir import lowering
+from repro.ir.printer import print_program
+from repro.ir.shared import program_fingerprint
+from repro.tools import AutoParLite, PlutoLite
+
+from tests.lint import test_shared_analysis
+
+#: the serial tiny assembly's split fingerprints
+SERIAL = test_shared_analysis.TestAssemblyAnalysesOnce.FINGERPRINTS
+
+_lower = lowering.lower_program  # unpatched, for fresh lowerings
+
+
+def _tiny(n_workers=1):
+    config = DatasetConfig.tiny(n_workers=n_workers)
+    config.use_cache = False
+    return config
+
+
+@pytest.fixture
+def lowerings(monkeypatch):
+    """(program, IR) of every ``lower_program`` call, wherever bound."""
+    calls = []
+
+    def recording(program, *args, **kwargs):
+        ir = _lower(program, *args, **kwargs)
+        calls.append((program, ir))
+        return ir
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(
+            module, "lower_program", None
+        ) is _lower:
+            monkeypatch.setattr(module, "lower_program", recording)
+    return calls
+
+
+@pytest.fixture
+def votes(monkeypatch):
+    """Tool name -> program names it classified."""
+    calls = {}
+    for tool in (PlutoLite, AutoParLite):
+        real = tool.classify_program
+
+        def counting(self, ast_program, *args, _real=real, **kwargs):
+            calls.setdefault(self.name, []).append(ast_program.name)
+            return _real(self, ast_program, *args, **kwargs)
+
+        monkeypatch.setattr(tool, "classify_program", counting)
+    return calls
+
+
+class TestOncePerProgram:
+    def test_one_lowering_and_one_ast_vote_per_program(
+        self, lowerings, votes
+    ):
+        data = _assemble(_tiny())
+        programs = {p.name for p, _ in lowerings}
+        distinct = {program_fingerprint(p) for p, _ in lowerings}
+        assert len(programs) == len(distinct) == 21
+        assert len(lowerings) == 21
+        assert sorted(votes) == ["AutoPar", "Pluto"]
+        for names in votes.values():
+            assert sorted(names) == sorted(programs)
+        # each base program has two pipeline variants and two transforms,
+        # each of those two variants too: 42 tasks over 21 programs
+        assert data.stats.n_tasks == 42 and not data.stats.drops
+        for split, digest in SERIAL.items():
+            assert getattr(data, split).fingerprint() == digest, split
+
+    def test_shared_lowerings_are_left_unchanged(self, lowerings):
+        _assemble(_tiny())
+        assert len(lowerings) == 21
+        for program, ir in lowerings:
+            assert print_program(ir) == print_program(_lower(program)), (
+                program.name
+            )
+
+    def test_pooled_assembly_matches_serial(self):
+        data = _assemble(_tiny(n_workers=2))
+        for split, digest in SERIAL.items():
+            assert getattr(data, split).fingerprint() == digest, split

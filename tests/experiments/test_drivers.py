@@ -16,7 +16,7 @@ from repro.experiments.table3 import (
     table3_accuracy,
 )
 from repro.train.config import TrainConfig
-from repro.train.eval import evaluate_adapter
+from repro.train.eval import count_identified_parallel, evaluate_adapter
 
 
 def _majority_share(labels) -> float:
@@ -138,6 +138,36 @@ class TestFig8Driver:
             cells.setdefault(row.suite, []).append(row.seed)
         assert all(seeds == list(two_seeds) for seeds in cells.values())
         assert [r for r in both.rows if r.seed == ctx.seed] == plain.rows
+
+    def test_one_prediction_per_model_and_suite(self, ctx, monkeypatch):
+        models = [ctx.trained(name)[0] for name in VIEWS]
+        calls = []
+        for model in models:
+            def counting(samples, _real=model.predict):
+                calls.append(_real)
+                return _real(samples)
+
+            monkeypatch.setattr(model, "predict", counting)
+        result = fig8_view_importance(ctx)
+        assert result.rows
+        assert len(calls) == 3 * len(result.rows)
+        # the values equal separate counting and accuracy passes
+        for row in result.rows:
+            data = ctx.data.benchmark.by_suite(row.suite)
+            assert row.accuracy == {
+                name: 100.0 * evaluate_adapter(model, data)
+                for name, model in zip(VIEWS, models)
+            }
+            n_multi, n_node, n_struct = (
+                count_identified_parallel(model, data) for model in models
+            )
+            assert row.importance == {
+                "N_multi": float(n_multi),
+                "N_n": float(n_node),
+                "N_s": float(n_struct),
+                "IMP_n": n_node / max(n_multi, 1),
+                "IMP_s": n_struct / max(n_multi, 1),
+            }
 
     def test_single_view_budget_is_capped(self, ctx):
         _, curves = ctx.trained("node view")

@@ -10,6 +10,7 @@ from repro.dataset.assemble import DatasetConfig, assemble_dataset
 from repro.dataset.extraction import extract_loop_samples
 from repro.dataset.types import LoopDataset
 from repro.ir import ast_nodes as ast
+from repro.ir import shared
 from repro.lint import lint_dataset
 from repro.lint import shared_analysis
 from repro.lint.shared_analysis import analysis_scope, program_analysis
@@ -63,7 +64,7 @@ class TestMemo:
         with analysis_scope():
             program_analysis(program)
         assert len(analyze_calls) == 4
-        assert shared_analysis._SCOPE.get() is None
+        assert shared._SCOPE.get() is None
 
     def test_nested_scopes_join_the_outer_one(self, analyze_calls):
         program = build_mixed_program()
@@ -160,4 +161,4 @@ class TestAssemblyAnalysesOnce:
         for split, digest in self.FINGERPRINTS.items():
             assert getattr(data, split).fingerprint() == digest, split
         # the run's memo is gone with the run
-        assert shared_analysis._SCOPE.get() is None
+        assert shared._SCOPE.get() is None

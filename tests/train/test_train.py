@@ -171,8 +171,14 @@ class TestImportance:
             train_model(adapter, data, config)
         importance = view_importance(multi, node, struct, {"NPB": data})
         row = importance["NPB"]
-        assert set(row) == {"N_multi", "N_n", "N_s", "IMP_n", "IMP_s"}
+        assert set(row) == {
+            "N_multi", "N_n", "N_s", "IMP_n", "IMP_s",
+            "acc_multi", "acc_n", "acc_s",
+        }
         assert row["IMP_n"] >= 0 and row["IMP_s"] >= 0
+        for adapter, key in ((multi, "acc_multi"), (node, "acc_n"),
+                             (struct, "acc_s")):
+            assert row[key] == evaluate_adapter(adapter, data)
 
     def test_empty_suite_rejected(self):
         multi = MVGNNAdapter(_mv_config(), rng=0)

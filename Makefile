@@ -43,16 +43,21 @@ test-tape:
 		tests/runtime/test_tape_golden.py -q
 
 # Training wall: the packing and reproducibility suite (tests/train: a
-# ragged pack vs its graphs packed one at a time), the golden training
+# ragged pack vs its graphs packed one at a time, for MV-GNN, DGCNN,
+# Static GNN and both Fig. 8 single-view LSTM models), the golden training
 # digest, the finite-difference gradchecks of the adapters' training route
-# (tests/train/test_adapter_gradcheck.py, with a planted scaled VJP), of
-# every op (tests/nn/test_tensor.py, with a planted perturbed VJP), the
-# LSTM (tests/nn/test_rnn.py) and the segment ops, the optimizer tests,
-# the bit-exact oracles of the scatter VJPs, CSR pack and Adam, and the
-# tape-compiler wall (see docs/RUNTIME.md "Training fast path").
+# (tests/train/test_adapter_gradcheck.py, with planted scaled sortpool and
+# sigmoid VJPs), of every op (tests/nn/test_tensor.py, with a planted
+# perturbed VJP), the LSTM against a numpy oracle (tests/nn/test_rnn.py)
+# and the segment ops, the model forwards (tests/models/test_models.py:
+# NCC's one-sequence batches against its ragged batch rows), the optimizer
+# tests, the bit-exact oracles of the scatter VJPs, CSR pack and Adam, and
+# the tape-compiler wall over every graph model (see docs/RUNTIME.md
+# "Training fast path").
 test-train:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/train/ \
+		tests/models/test_models.py \
 		tests/nn/test_tensor.py \
 		tests/nn/test_rnn.py \
 		tests/nn/test_batched_gradcheck.py \
@@ -160,12 +165,19 @@ test-experiments:
 # counts 1 and 2, Table I counts, CFL DAG adjacency order, DiscoPoP
 # verdicts and reasons, a planted dropped dependence, no stale slice
 # after an edit), the rest of the dataset suite and the tool baselines
-# (see docs/ARCHITECTURE.md "Once per program, once per profile").
+# (see docs/ARCHITECTURE.md "Once per program, once per profile").  DS005
+# hashes each program once, and each pipeline application makes one copy
+# of its program that its passes rewrite in place: the pass unit tests,
+# the pipeline property tests (every pipeline preserves semantics) and the
+# per-pass verification and its failure attribution run here too.
 test-assembly:
 	REPRO_HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest \
 		tests/dataset/ \
 		tests/tools/ \
-		tests/profiler/test_dep_index.py -q
+		tests/profiler/test_dep_index.py \
+		tests/ir/test_passes.py \
+		tests/ir/test_passes_property.py \
+		tests/ir/test_pipeline_verify.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -2,8 +2,10 @@
 
 The paper builds six LLVM-IR variants of every source with six clang
 optimization option sets; these pipelines play that role.  Each pass is a
-semantics-preserving IRProgram -> IRProgram transform (verified by property
-tests: identical interpreter results before and after).
+semantics-preserving in-place rewrite of an IRProgram that returns it
+(verified by property tests: identical interpreter results before and
+after).  ``apply_pipeline`` copies its input once; a caller running a pass
+directly clones first if it still needs the original.
 """
 
 from repro.ir.passes.clone import clone_program

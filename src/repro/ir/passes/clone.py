@@ -1,4 +1,8 @@
-"""Deep cloning of LinearIR (passes never mutate their input program)."""
+"""Deep cloning of LinearIR.
+
+Passes rewrite the program they are given; ``apply_pipeline`` clones its
+input once and runs every pass on that copy.
+"""
 
 from __future__ import annotations
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.ir.linear import Imm, Instr, IRFunction, IRProgram, Opcode, Reg
-from repro.ir.passes.clone import clone_program
 
 
 def _fold(instr: Instr) -> Optional[float]:
@@ -89,8 +88,7 @@ def _fold_function(fn: IRFunction) -> None:
 
 
 def constant_fold(program: IRProgram) -> IRProgram:
-    """Return a constant-folded copy of ``program``."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Constant-fold ``program`` in place; returns it."""
+    for fn in program.functions.values():
         _fold_function(fn)
-    return out
+    return program

@@ -25,7 +25,6 @@ from repro.ir.linear import (
     Opcode,
     Reg,
 )
-from repro.ir.passes.clone import clone_program
 
 
 def _operand_key(op) -> Tuple:
@@ -110,8 +109,7 @@ def _cse_function(fn: IRFunction) -> None:
 
 
 def common_subexpression_elimination(program: IRProgram) -> IRProgram:
-    """Return a copy of ``program`` with block-local CSE applied."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Apply block-local CSE to ``program`` in place; returns it."""
+    for fn in program.functions.values():
         _cse_function(fn)
-    return out
+    return program

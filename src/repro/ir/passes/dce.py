@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Set
 
 from repro.ir.linear import ARITH_OPS, IRFunction, IRProgram, Opcode, Reg
-from repro.ir.passes.clone import clone_program
 
 _REMOVABLE = ARITH_OPS | {Opcode.LDVAR, Opcode.LOAD, Opcode.CONST}
 
@@ -44,8 +43,7 @@ def _dce_function(fn: IRFunction) -> None:
 
 
 def dead_code_elimination(program: IRProgram) -> IRProgram:
-    """Return a copy of ``program`` with dead pure instructions removed."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Remove ``program``'s dead pure instructions in place; returns it."""
+    for fn in program.functions.values():
         _dce_function(fn)
-    return out
+    return program

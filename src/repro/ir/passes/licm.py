@@ -32,7 +32,6 @@ from repro.ir.linear import (
     Opcode,
     Reg,
 )
-from repro.ir.passes.clone import clone_program
 from repro.profiler.static_info import loop_block_sets
 
 
@@ -135,8 +134,7 @@ def _is_invariant(
 
 
 def loop_invariant_code_motion(program: IRProgram) -> IRProgram:
-    """Return a copy of ``program`` with header-restricted LICM applied."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Apply header-restricted LICM to ``program`` in place; returns it."""
+    for fn in program.functions.values():
         _licm_function(fn)
-    return out
+    return program

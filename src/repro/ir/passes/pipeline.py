@@ -59,6 +59,7 @@ def apply_pipeline(
 ) -> IRProgram:
     """Apply the named pipeline to a copy of ``program``.
 
+    The copy is the pipeline's only one: every pass rewrites it in place.
     ``verify=True`` re-runs :func:`repro.ir.verify.verify_program` after
     every pass, attributing the failure to the pass that produced the bad
     IR; ``None`` (default) consults the :data:`VERIFY_ENV` environment

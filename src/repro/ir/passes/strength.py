@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.ir.linear import Imm, Instr, IRFunction, IRProgram, Opcode, Reg
-from repro.ir.passes.clone import clone_program
 
 
 def _imm_is(op, value: float) -> bool:
@@ -88,8 +87,7 @@ def _strength_function(fn: IRFunction) -> None:
 
 
 def strength_reduction(program: IRProgram) -> IRProgram:
-    """Return a copy of ``program`` with strength reduction applied."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Apply strength reduction to ``program`` in place; returns it."""
+    for fn in program.functions.values():
         _strength_function(fn)
-    return out
+    return program

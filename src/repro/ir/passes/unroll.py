@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ir.linear import BasicBlock, Instr, IRFunction, IRProgram, Opcode, Reg
-from repro.ir.passes.clone import clone_program
 
 
 def _max_values(fn: IRFunction) -> (int, int):
@@ -193,10 +192,9 @@ def _unroll_loop(fn: IRFunction, loop_id: str) -> None:
 
 
 def unroll_by_two(program: IRProgram) -> IRProgram:
-    """Return a copy of ``program`` with eligible innermost loops unrolled."""
-    out = clone_program(program)
-    for fn in out.functions.values():
+    """Unroll ``program``'s eligible innermost loops in place; returns it."""
+    for fn in program.functions.values():
         for loop_id in list(fn.loops):
             if _unrollable(fn, loop_id):
                 _unroll_loop(fn, loop_id)
-    return out
+    return program

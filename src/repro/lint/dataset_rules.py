@@ -166,9 +166,14 @@ def cross_validate_labels(
             counters["quirky"] += 1
             continue
         if program.name not in verdict_cache:
-            if not program_analysis(program).ok:
+            # the prover reads the context of the analysis in hand rather
+            # than looking the program up (and hashing it) again
+            shared = program_analysis(program)
+            if not shared.ok:
                 counters["unanalyzable"] += 1
-            verdict_cache[program.name] = static_loop_verdicts(program)
+            verdict_cache[program.name] = static_loop_verdicts(
+                program, use_ranges=shared.ok, context=shared.context
+            )
         analysis = verdict_cache[program.name].get(sample.loop_id)
         if analysis is None:
             counters["skipped"] += 1

@@ -48,18 +48,6 @@ class NCC(Module):
         )
         self.classifier = Dense(config.dense_units, config.num_classes, rng=rngs[3])
 
-    def forward(self, embedded_sequence: np.ndarray) -> Tensor:
-        """Class logits from a (time, embedding_dim) statement sequence."""
-        if embedded_sequence.ndim != 2:
-            raise ModelError("NCC expects a (time, dim) embedded sequence")
-        if embedded_sequence.shape[0] > self.config.max_length:
-            embedded_sequence = embedded_sequence[: self.config.max_length]
-        seq1, _ = self.lstm1(Tensor(embedded_sequence))
-        _, (h_final, _c) = self.lstm2(seq1)
-        return self.classifier(self.dense(h_final))
-
-    __call__ = forward
-
     def forward_batch(self, sequences: List[np.ndarray]) -> Tensor:
         """Class logits, (batch, classes), from variable-length sequences.
 
@@ -68,6 +56,8 @@ class NCC(Module):
         """
         if not sequences:
             raise ModelError("empty NCC batch")
+        if any(np.ndim(s) != 2 for s in sequences):
+            raise ModelError("NCC expects (time, dim) embedded sequences")
         clipped = [s[: self.config.max_length] for s in sequences]
         lengths = np.array([max(1, s.shape[0]) for s in clipped], dtype=np.int64)
         max_len = int(lengths.max())

@@ -3,7 +3,9 @@
 For Fig. 8 the paper evaluates each view alone "by putting the output of
 each view into an LSTM layer, followed by a fully connected layer": we feed
 the view's SortPooled node sequence through an LSTM and classify from the
-final hidden state.
+final hidden state.  The model has one forward, over a packed batch of
+graphs, which the training adapter records onto a tape like the other
+graph models (:class:`repro.train.adapters.SingleViewAdapter`).
 
 The Static-GNN baseline (Shen et al. 2021, "GNNs with Static Information")
 needs no model of its own: it is the node view's DGCNN over static-only
@@ -12,10 +14,7 @@ features, :class:`repro.train.adapters.StaticGNNAdapter`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.errors import ModelError
 from repro.models.dgcnn import DGCNN, DGCNNConfig
@@ -30,7 +29,7 @@ class SingleViewModel(Module):
 
     ``view`` selects which input the model consumes: ``"node"`` uses the
     semantic features, ``"structural"`` the walk distributions (after a
-    projection supplied by the caller via ``project`` or raw if None).
+    projection attached with :meth:`with_projection`, or raw without one).
     """
 
     def __init__(
@@ -60,17 +59,20 @@ class SingleViewModel(Module):
         )
         return self
 
-    def forward(self, x: np.ndarray, adj_norm: np.ndarray) -> Tensor:
-        """Logits of one graph; ``adj_norm`` is ``normalized_adjacency`` of
-        its adjacency, which the caller normalizes once per sample."""
-        node_input = x
-        if self.projection is not None:
-            node_input = self.projection(Tensor(x))
-        # the DGCNN's packed front end on a pack of one graph
+    def forward_batch(self, x, adj_norm, sizes: Sequence[int]) -> Tensor:
+        """Class logits for a packed batch, shape ``(len(sizes), num_classes)``.
+
+        ``x`` stacks the view's node inputs of ``len(sizes)`` graphs and
+        ``adj_norm`` is their normalized block-diagonal adjacency, as for
+        :meth:`repro.models.dgcnn.DGCNN.forward_batch`.  SortPooling gives
+        every graph exactly ``k`` rows, so the LSTM runs over a
+        ``(B, k, C)`` batch with no padding mask.
+        """
+        node_input = x if self.projection is None else self.projection(x)
         reps = self.dgcnn.node_representations_batch(node_input, adj_norm)
-        pooled = self.dgcnn.sortpool.segment_call(reps, [x.shape[0]])
-        _seq, (h_final, _c) = self.lstm(pooled)
-        return self.classifier(h_final)
-
-    __call__ = forward
-
+        pooled = self.dgcnn.sortpool.segment_call(reps, sizes)   # (B*k, C)
+        sequences = pooled.reshape(
+            len(sizes), self.dgcnn.config.sortpool_k, self.lstm.input_size
+        )
+        _states, h_last = self.lstm.forward_batch(sequences)
+        return self.classifier(h_last)

@@ -23,7 +23,6 @@ from repro.nn.batching import (
 )
 from repro.nn.functional import (
     softmax,
-    softmax_cross_entropy,
     dropout_mask,
 )
 from repro.nn.layers import (
@@ -55,7 +54,7 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "no_grad",
     "is_sparse_matrix", "sparse_matmul",
     "block_diagonal_adjacency", "pad_segments", "segment_offsets",
-    "softmax", "softmax_cross_entropy", "dropout_mask",
+    "softmax", "dropout_mask",
     "Module", "Parameter", "Dense", "GraphConv", "Conv1D", "MaxPool1D",
     "Dropout", "SortPooling", "normalized_adjacency",
     "LSTM",

@@ -17,30 +17,17 @@ def softmax(logits: Tensor, temperature: float = 1.0) -> Tensor:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(
-    logits: Tensor, label: int, temperature: float = 1.0
-) -> Tensor:
-    """Cross entropy of one example; the paper's "softmax loss function"
-    with temperature parameter (Section IV-B: temperature 0.5)."""
-    if logits.ndim != 1:
-        raise ModelError("softmax_cross_entropy expects a 1-D logit vector")
-    n = logits.shape[0]
-    if not 0 <= label < n:
-        raise ModelError(f"label {label} out of range for {n} classes")
-    probs = softmax(logits, temperature)
-    return -(probs[int(label)].log())
-
-
 def softmax_cross_entropy_batch(
     logits: Tensor, labels, temperature: float = 1.0, reduction: str = "mean"
 ) -> Tensor:
-    """Cross entropy over a (batch, classes) logit matrix.
+    """Cross entropy over a (batch, classes) logit matrix; the paper's
+    "softmax loss function" with temperature parameter (Section IV-B:
+    temperature 0.5).
 
-    ``reduction`` is ``"mean"`` (default) or ``"sum"``.  The batched
-    training path uses ``"sum"`` so one packed loss equals the sum of
-    per-sample :func:`softmax_cross_entropy` losses — row ``i`` of a packed
-    logit matrix contributes exactly what sample ``i`` would contribute on
-    the per-sample path.
+    ``reduction`` is ``"mean"`` (default) or ``"sum"``.  The packed training
+    route uses ``"sum"``: row ``i`` of a packed logit matrix contributes
+    exactly sample ``i``'s loss, so the trainer's lr scaling does not depend
+    on how a minibatch is packed.
     """
     if logits.ndim != 2:
         raise ModelError("softmax_cross_entropy_batch expects (batch, classes)")

@@ -1,8 +1,10 @@
-"""LSTM layer for the NCC baseline (two stacked LSTMs of 200 units).
+"""LSTM layer for the NCC baseline (two stacked LSTMs of 200 units) and
+the Fig. 8 single-view heads.
 
-Straightforward unrolled LSTM over a (time, features) input: one fused gate
-projection per step, split into input/forget/cell/output gates.  Returns the
-full hidden sequence so layers stack naturally; callers typically take the
+Straightforward unrolled LSTM over a padded (batch, time, features) input:
+the input projection is hoisted into one matmul, then one fused gate
+projection per step is split into input/forget/cell/output gates.  Returns
+the full hidden sequence so layers stack naturally, and each sequence's
 final hidden state.
 """
 
@@ -37,42 +39,6 @@ class LSTM(Module):
         bias = zeros_init((4 * hidden_size,))
         bias[hidden_size : 2 * hidden_size] = 1.0  # forget-gate bias trick
         self.bias = Parameter(bias)
-
-    def __call__(
-        self,
-        inputs: Tensor,
-        state: Optional[Tuple[Tensor, Tensor]] = None,
-    ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Run over a (time, input_size) sequence.
-
-        Returns (hidden_sequence of shape (time, hidden), (h_T, c_T)).
-        """
-        inputs = as_tensor(inputs)
-        if inputs.ndim != 2 or inputs.shape[1] != self.input_size:
-            raise ModelError(
-                f"LSTM expected (time, {self.input_size}) input, got {inputs.shape}"
-            )
-        steps = inputs.shape[0]
-        hidden = self.hidden_size
-        if state is None:
-            h = Tensor(np.zeros(hidden))
-            c = Tensor(np.zeros(hidden))
-        else:
-            h, c = state
-
-        # hoist the input projection: one big matmul instead of one per step
-        x_proj = inputs @ self.w_x          # (time, 4*hidden)
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            gates = x_proj[t] + h @ self.w_h + self.bias
-            i_gate = gates[0:hidden].sigmoid()
-            f_gate = gates[hidden : 2 * hidden].sigmoid()
-            g_gate = gates[2 * hidden : 3 * hidden].tanh()
-            o_gate = gates[3 * hidden : 4 * hidden].sigmoid()
-            c = f_gate * c + i_gate * g_gate
-            h = o_gate * c.tanh()
-            outputs.append(h)
-        return stack(outputs, axis=0), (h, c)
 
     def forward_batch(
         self, inputs: Tensor, lengths: Optional[np.ndarray] = None

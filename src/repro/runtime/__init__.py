@@ -25,8 +25,6 @@ from repro.runtime.tape import (
     TapeOp,
     format_tape,
     record_tape,
-    trace_dgcnn_forward,
-    trace_mvgnn_forward,
 )
 
 __all__ = [
@@ -45,6 +43,4 @@ __all__ = [
     "quantize_tape",
     "record_activation_maxima",
     "record_tape",
-    "trace_dgcnn_forward",
-    "trace_mvgnn_forward",
 ]

@@ -37,7 +37,7 @@ from repro.runtime.qtape import (
     quantize_tape,
     record_activation_maxima,
 )
-from repro.runtime.tape import TapeExecutor, trace_mvgnn_forward
+from repro.runtime.tape import TapeExecutor, record_tape
 
 @dataclass(frozen=True)
 class GraphInput:
@@ -270,12 +270,17 @@ class Engine:
                     # the trace is the one compiled step that reads
                     # Module.training: record the eval forward (no dropout)
                     with self._eval_mode():
-                        tape = trace_mvgnn_forward(
-                            self.model,
-                            batch.x_semantic,
-                            batch.x_structural,
-                            batch.adj_norm,
-                            batch.sizes,
+                        tape = record_tape(
+                            self.model.forward_batch,
+                            arrays={
+                                "x_semantic": batch.x_semantic,
+                                "x_structural": batch.x_structural,
+                            },
+                            objects={
+                                "adj_norm": batch.adj_norm,
+                                "sizes": batch.sizes,
+                            },
+                            params=self.model.named_parameters(),
                         )
                     executor = TapeExecutor(tape)
                     self._tapes[key] = executor
@@ -468,10 +473,10 @@ class Engine:
         """Predicted labels for many loops: ``(len(loops),)`` int64.
 
         Accepts :class:`LoopSample` and :class:`GraphInput` objects; the
-        two kinds may be mixed in one call.  Identical to running
-        ``argmax(model.forward(...))`` per loop, but packs ``batch_size``
-        graphs per numpy-level pass.  ``precision`` overrides the engine's
-        default execution tier for this call.
+        two kinds may be mixed in one call.  Identical to running each loop
+        alone as a pack of one through ``model.forward_batch``, but packs
+        ``batch_size`` graphs per numpy-level pass.  ``precision``
+        overrides the engine's default execution tier for this call.
         """
         logits = self.logits_many(
             loops, batch_size=batch_size, precision=precision

@@ -49,8 +49,6 @@ __all__ = [
     "Tape",
     "TapeOp",
     "record_tape",
-    "trace_mvgnn_forward",
-    "trace_dgcnn_forward",
     "build_plan",
     "unfuse_plan",
     "TapeExecutor",
@@ -332,32 +330,6 @@ def record_tape(
         )
     tape.output = mark[1]
     return tape
-
-
-def trace_mvgnn_forward(model, x_semantic, x_structural, adj_norm, sizes) -> Tape:
-    """Record ``MVGNN.forward_batch`` for this pack's shape class."""
-    def fn(x_semantic, x_structural, adj_norm, sizes):
-        return model.forward_batch(x_semantic, x_structural, adj_norm, sizes)
-
-    return record_tape(
-        fn,
-        arrays={"x_semantic": x_semantic, "x_structural": x_structural},
-        objects={"adj_norm": adj_norm, "sizes": sizes},
-        params=model.named_parameters(),
-    )
-
-
-def trace_dgcnn_forward(model, x, adj_norm, sizes) -> Tape:
-    """Record ``DGCNN.forward_batch`` for this pack's shape class."""
-    def fn(x, adj_norm, sizes):
-        return model.forward_batch(x, adj_norm, sizes)
-
-    return record_tape(
-        fn,
-        arrays={"x": x},
-        objects={"adj_norm": adj_norm, "sizes": sizes},
-        params=model.named_parameters(),
-    )
 
 
 # -- fusion plan -------------------------------------------------------------

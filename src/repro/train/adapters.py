@@ -1,12 +1,14 @@
 """Model adapters: a uniform train/predict interface over heterogeneous
-models (the packed graph GNNs, the batched-LSTM NCC, single-view ablations).
+models (the packed graph GNNs, the single-view ablations, the batched-LSTM
+NCC).
 
 An adapter owns its model plus any input preprocessing (which features a
 model sees is part of the baseline's definition — e.g. Static-GNN gets the
-dynamic columns zeroed).  Each adapter has exactly one training route,
-:meth:`ModelAdapter.loss_and_correct_batched`: the graph adapters run the
-packed minibatch through a recorded tape, the LSTM ablation loops over its
-samples, and NCC runs its batched LSTM.
+dynamic columns zeroed, a single-view model sees one view).  Each adapter
+has exactly one training route,
+:meth:`ModelAdapter.loss_and_correct_batched`: every graph model — MV-GNN,
+DGCNN, Static GNN and both Fig. 8 single views — runs the packed minibatch
+through a recorded tape, and NCC runs its batched LSTM eagerly.
 """
 
 from __future__ import annotations
@@ -23,18 +25,11 @@ from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
 from repro.models.ncc import NCC, NCCConfig
 from repro.models.single_view import SingleViewModel
-from repro.nn.functional import (
-    softmax_cross_entropy,
-    softmax_cross_entropy_batch,
-)
+from repro.nn.functional import softmax_cross_entropy_batch
 from repro.nn.layers import Module, normalized_adjacency
 from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.batch import GraphBatch
-from repro.runtime.tape import (
-    Tape,
-    trace_dgcnn_forward,
-    trace_mvgnn_forward,
-)
+from repro.runtime.tape import Tape, record_tape
 from repro.utils.rng import RngLike
 
 
@@ -42,10 +37,11 @@ class ModelAdapter:
     """Uniform interface the trainer drives."""
 
     name = "model"
+    model: Module
 
     @property
     def module(self) -> Module:
-        raise NotImplementedError
+        return self.model
 
     def loss_and_correct_batched(
         self, batch: Sequence[LoopSample], temperature: float
@@ -137,12 +133,10 @@ class _PerGraphAdapter(ModelAdapter):
 
     # -- tape ----------------------------------------------------------------
 
-    def _trace_batch(self, pack: GraphBatch) -> Tape:
-        """Record this adapter's packed forward."""
-        raise NotImplementedError
-
-    def _tape_bindings(self, pack: GraphBatch) -> Dict[str, object]:
-        raise NotImplementedError
+    def _tape_arrays(self, pack: GraphBatch) -> Dict[str, np.ndarray]:
+        """The float inputs of ``module.forward_batch``, by argument name;
+        ``adj_norm`` and ``sizes`` are bound for every graph model."""
+        return {"x": pack.x_semantic}
 
     def _batch_logits_compiled(self, pack: GraphBatch) -> Tensor:
         """``(num_graphs, num_classes)`` tape-executed logits whose backward
@@ -153,12 +147,17 @@ class _PerGraphAdapter(ModelAdapter):
         replays the recorded program in reverse and accumulates parameter
         gradients through the same primitive VJPs the eager sweep calls.
         """
+        arrays = self._tape_arrays(pack)
+        objects = {"adj_norm": pack.adj_norm, "sizes": pack.sizes}
         key = (pack.num_graphs, self.module.training)
         tape = self._tapes.get(key)
         if tape is None:
-            tape = self._trace_batch(pack)
+            tape = record_tape(
+                self.module.forward_batch, arrays, objects,
+                self.module.named_parameters(),
+            )
             self._tapes[key] = tape
-        values, residuals = tape.forward_values(self._tape_bindings(pack))
+        values, residuals = tape.forward_values({**arrays, **objects})
         out = values[tape.output]
 
         def backward(grad: np.ndarray) -> None:
@@ -199,22 +198,10 @@ class MVGNNAdapter(_PerGraphAdapter):
         super().__init__()
         self.model = MVGNN(config, rng=rng)
 
-    @property
-    def module(self) -> Module:
-        return self.model
-
-    def _trace_batch(self, pack: GraphBatch) -> Tape:
-        return trace_mvgnn_forward(
-            self.model, pack.x_semantic, pack.x_structural,
-            pack.adj_norm, pack.sizes,
-        )
-
-    def _tape_bindings(self, pack: GraphBatch) -> Dict[str, object]:
+    def _tape_arrays(self, pack: GraphBatch) -> Dict[str, np.ndarray]:
         return {
             "x_semantic": pack.x_semantic,
             "x_structural": pack.x_structural,
-            "adj_norm": pack.adj_norm,
-            "sizes": pack.sizes,
         }
 
 
@@ -226,22 +213,6 @@ class DGCNNAdapter(_PerGraphAdapter):
     def __init__(self, config: DGCNNConfig, rng: RngLike = None) -> None:
         super().__init__()
         self.model = DGCNN(config, rng=rng)
-
-    @property
-    def module(self) -> Module:
-        return self.model
-
-    def _trace_batch(self, pack: GraphBatch) -> Tape:
-        return trace_dgcnn_forward(
-            self.model, pack.x_semantic, pack.adj_norm, pack.sizes
-        )
-
-    def _tape_bindings(self, pack: GraphBatch) -> Dict[str, object]:
-        return {
-            "x": pack.x_semantic,
-            "adj_norm": pack.adj_norm,
-            "sizes": pack.sizes,
-        }
 
 
 class StaticGNNAdapter(DGCNNAdapter):
@@ -262,13 +233,10 @@ class StaticGNNAdapter(DGCNNAdapter):
         return x
 
 
-class SingleViewAdapter(ModelAdapter):
-    """One view + LSTM + dense (the Fig. 8 importance setup).
-
-    The LSTM head has no packed path: this adapter trains and predicts one
-    sample at a time.  Each sample's normalized adjacency is computed once
-    and kept by ``sample_id``, as the graph adapters' ``_prepare`` does.
-    """
+class SingleViewAdapter(_PerGraphAdapter):
+    """One view + LSTM + dense (the Fig. 8 importance setup), trained and
+    predicted on the packed tape route like the other graph models; the
+    view's node matrix is what the pack carries as its semantic input."""
 
     def __init__(
         self,
@@ -277,51 +245,17 @@ class SingleViewAdapter(ModelAdapter):
         walk_types: int = 0,
         rng: RngLike = None,
     ) -> None:
+        super().__init__()
         self.view = view
         self.name = f"view:{view}"
         self.model = SingleViewModel(view, dgcnn_config, rng=rng)
-        self._adj_norm: Dict[str, np.ndarray] = {}
         if view == "structural":
             if walk_types <= 0:
                 raise ModelError("structural view needs walk_types")
             self.model.with_projection(walk_types, rng=rng)
 
-    @property
-    def module(self) -> Module:
-        return self.model
-
-    def _logits(self, sample: LoopSample) -> Tensor:
-        x = (
-            sample.x_semantic
-            if self.view == "node"
-            else sample.x_structural
-        )
-        adj_norm = self._adj_norm.get(sample.sample_id)
-        if adj_norm is None:
-            adj_norm = normalized_adjacency(sample.adjacency)
-            self._adj_norm[sample.sample_id] = adj_norm
-        return self.model(x, adj_norm)
-
-    def loss_and_correct_batched(self, batch, temperature):
-        total = None
-        correct = 0
-        for sample in batch:
-            logits = self._logits(sample)
-            loss = softmax_cross_entropy(logits, sample.label, temperature)
-            total = loss if total is None else total + loss
-            if int(np.argmax(logits.data)) == sample.label:
-                correct += 1
-        return total, correct
-
-    def predict(self, samples) -> np.ndarray:
-        self.module.eval()
-        with no_grad():
-            out = np.array(
-                [int(np.argmax(self._logits(s).data)) for s in samples],
-                dtype=np.int64,
-            )
-        self.module.train()
-        return out
+    def _semantic_input(self, sample: LoopSample) -> np.ndarray:
+        return sample.x_semantic if self.view == "node" else sample.x_structural
 
 
 class NCCAdapter(ModelAdapter):
@@ -335,10 +269,6 @@ class NCCAdapter(ModelAdapter):
         self.model = NCC(config, rng=rng)
         self.inst2vec = inst2vec
         self._cache: dict = {}
-
-    @property
-    def module(self) -> Module:
-        return self.model
 
     def _sequence(self, sample: LoopSample) -> np.ndarray:
         seq = self._cache.get(sample.sample_id)

@@ -3,19 +3,24 @@
 On a cold ``DatasetConfig.tiny()`` assembly every distinct program is
 lowered once (the inst2vec corpus, each of its extraction tasks and its
 range analysis share that lowering) and Pluto and AutoPar vote once on
-it, whatever the number of its variants.  No consumer changes a shared
-lowering, and a pooled assembly, whose workers compute afresh, gives the
-serial samples.
+it, whatever the number of its variants.  DS005's cross-validation
+hashes each program once, and each pipeline application copies its
+program once.  No consumer changes a shared lowering, and a pooled
+assembly, whose workers compute afresh, gives the serial samples.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
+from repro.dataset import parallel
 from repro.dataset.assemble import DatasetConfig, _assemble
-from repro.ir import lowering
+from repro.ir import lowering, shared
+from repro.ir.passes import clone as ir_clone
 from repro.ir.printer import print_program
 from repro.ir.shared import program_fingerprint
+from repro.lint import dataset_rules
 from repro.tools import AutoParLite, PlutoLite
 
 from tests.lint import test_shared_analysis
@@ -82,6 +87,60 @@ class TestOncePerProgram:
         assert data.stats.n_tasks == 42 and not data.stats.drops
         for split, digest in SERIAL.items():
             assert getattr(data, split).fingerprint() == digest, split
+
+    def test_crossval_hashes_each_program_once(self, monkeypatch):
+        """DS005 looks each program's shared analysis up once, and the
+        prover reads that analysis's context instead of hashing the
+        program a second time."""
+        hashed = Counter()
+        crossval = {"on": False}
+        real_hash = shared.program_fingerprint
+        real_crossval = dataset_rules.cross_validate_labels
+
+        def counting_hash(program):
+            if crossval["on"]:
+                hashed[program.name] += 1
+            return real_hash(program)
+
+        def counting_crossval(*args, **kwargs):
+            crossval["on"] = True
+            try:
+                return real_crossval(*args, **kwargs)
+            finally:
+                crossval["on"] = False
+
+        monkeypatch.setattr(shared, "program_fingerprint", counting_hash)
+        monkeypatch.setattr(
+            dataset_rules, "cross_validate_labels", counting_crossval
+        )
+        data = _assemble(_tiny())
+        assert data.stats.crossval["judged"] > 0
+        assert hashed and set(hashed.values()) == {1}, hashed
+
+    def test_one_copy_per_pipeline_application(self, monkeypatch):
+        """``apply_pipeline`` is the one place that copies: its passes
+        rewrite that copy in place."""
+        clones, applications = [], []
+        real_clone = ir_clone.clone_program
+        real_apply = parallel.apply_pipeline
+
+        def counting_clone(program):
+            clones.append(program.name)
+            return real_clone(program)
+
+        def counting_apply(program, name, *args, **kwargs):
+            applications.append(name)
+            return real_apply(program, name, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "clone_program", None) is real_clone
+            ):
+                monkeypatch.setattr(module, "clone_program", counting_clone)
+        monkeypatch.setattr(parallel, "apply_pipeline", counting_apply)
+        _assemble(_tiny())
+        assert applications and set(applications) == {"O1-dce"}
+        assert len(clones) == len(applications)
 
     def test_shared_lowerings_are_left_unchanged(self, lowerings):
         _assemble(_tiny())

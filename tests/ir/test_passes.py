@@ -90,7 +90,7 @@ class TestDCE:
 
     def test_never_removes_stores(self):
         ir = lower_program(_simple_loop_program())
-        out = dead_code_elimination(ir)
+        out = dead_code_elimination(clone_program(ir))
         assert _count(out, Opcode.STORE) == _count(ir, Opcode.STORE)
         assert _count(out, Opcode.STVAR) == _count(ir, Opcode.STVAR)
 
@@ -102,7 +102,9 @@ class TestCSE:
         with pb.function("main") as fb:
             fb.assign("x", fb.add(fb.load("a", 1), fb.load("a", 1)))
         ir = lower_program(pb.build())
-        out = dead_code_elimination(common_subexpression_elimination(ir))
+        out = dead_code_elimination(
+            common_subexpression_elimination(clone_program(ir))
+        )
         verify_program(out)
         assert _count(out, Opcode.LOAD) < _count(ir, Opcode.LOAD)
 
@@ -177,7 +179,7 @@ class TestStrength:
 class TestUnroll:
     def test_simple_loop_unrolls(self):
         ir = lower_program(_simple_loop_program())
-        out = unroll_by_two(ir)
+        out = unroll_by_two(clone_program(ir))
         verify_program(out)
         assert _count(out, Opcode.STORE) == 2 * _count(ir, Opcode.STORE)
 
@@ -189,7 +191,7 @@ class TestUnroll:
                 with fb.loop("j", 0, 4) as j:
                     fb.store("m", fb.add(fb.mul(i, 4.0), j), 1.0)
         ir = lower_program(pb.build())
-        out = unroll_by_two(ir)
+        out = unroll_by_two(clone_program(ir))
         verify_program(out)
         # outer stays; inner (single-block body) unrolls
         outer_blocks = len(ir.function("main").blocks)

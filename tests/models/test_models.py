@@ -184,18 +184,28 @@ class TestMVGNN:
 
 class TestNCC:
     def test_forward_and_batch_agree(self):
+        """Each sequence alone equals its row of a ragged batch: padding
+        and masking never leak between sequences."""
         rng = np.random.default_rng(0)
         model = NCC(NCCConfig(embedding_dim=10, lstm_units=8, max_length=20), rng=0)
         model.eval()
-        seq = rng.normal(size=(6, 10))
-        single = model(seq).data
-        batch = model.forward_batch([seq]).data[0]
-        np.testing.assert_allclose(single, batch, atol=1e-10)
+        seqs = [rng.normal(size=(n, 10)) for n in (6, 2, 9, 1)]
+        batch = model.forward_batch(seqs).data
+        for pos, seq in enumerate(seqs):
+            np.testing.assert_allclose(
+                model.forward_batch([seq]).data[0], batch[pos], atol=1e-10
+            )
 
     def test_truncation(self):
+        """Statements past ``max_length`` do not reach the model."""
+        rng = np.random.default_rng(1)
         model = NCC(NCCConfig(embedding_dim=4, lstm_units=4, max_length=5), rng=0)
-        out = model(np.ones((50, 4)))
-        assert out.shape == (2,)
+        long = rng.normal(size=(50, 4))
+        out = model.forward_batch([long])
+        assert out.shape == (1, 2)
+        np.testing.assert_array_equal(
+            out.data, model.forward_batch([long[:5]]).data
+        )
 
     def test_batch_loss_backward(self):
         rng = np.random.default_rng(1)
@@ -213,7 +223,7 @@ class TestNCC:
     def test_bad_rank_rejected(self):
         model = NCC(NCCConfig(embedding_dim=4, lstm_units=4), rng=0)
         with pytest.raises(ModelError):
-            model(np.ones(4))
+            model.forward_batch([np.ones(4)])
 
 
 class TestSingleView:
@@ -222,7 +232,7 @@ class TestSingleView:
             "node", DGCNNConfig(in_features=12, sortpool_k=6), rng=0
         )
         x, adj = _graph(rng_mod)
-        assert model(x, adj).shape == (2,)
+        assert model.forward_batch(x, *_pack_of_one(adj)).shape == (1, 2)
 
     def test_structural_view_needs_projection(self, rng_mod):
         model = SingleViewModel(
@@ -230,7 +240,7 @@ class TestSingleView:
         ).with_projection(5, rng=0)
         x, adj = _graph(rng_mod)
         walks = rng_mod.dirichlet(np.ones(5), size=x.shape[0])
-        assert model(walks, adj).shape == (2,)
+        assert model.forward_batch(walks, *_pack_of_one(adj)).shape == (1, 2)
 
     def test_invalid_view_rejected(self):
         with pytest.raises(ModelError):

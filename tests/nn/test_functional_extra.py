@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn.functional import (
-    dropout_mask,
-    softmax_cross_entropy,
-    softmax_cross_entropy_batch,
-)
+from repro.nn.functional import dropout_mask, softmax_cross_entropy_batch
 from repro.nn.layers import Parameter
 from repro.nn.tensor import Tensor
+
+
+def numpy_nll(logits, labels, temperature=1.0):
+    """Per-row negative log-likelihood via log-sum-exp."""
+    z = logits / temperature
+    top = z.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(z - top).sum(axis=1))
+    return lse - z[np.arange(len(labels)), labels]
 
 
 class TestBatchCrossEntropy:
@@ -18,14 +22,13 @@ class TestBatchCrossEntropy:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(5, 3))
         labels = rng.integers(0, 3, size=5)
-        batch_loss = softmax_cross_entropy_batch(Tensor(logits), labels).item()
-        singles = np.mean(
-            [
-                softmax_cross_entropy(Tensor(logits[i]), int(labels[i])).item()
-                for i in range(5)
-            ]
+        nll = numpy_nll(logits, labels, temperature=0.5)
+        mean = softmax_cross_entropy_batch(Tensor(logits), labels, 0.5)
+        total = softmax_cross_entropy_batch(
+            Tensor(logits), labels, 0.5, reduction="sum"
         )
-        assert batch_loss == pytest.approx(singles, rel=1e-10)
+        assert mean.item() == pytest.approx(nll.mean(), rel=1e-10)
+        assert total.item() == pytest.approx(nll.sum(), rel=1e-10)
 
     def test_gradient_flows(self):
         param = Parameter(np.zeros((4, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn.functional import softmax, softmax_cross_entropy
+from repro.nn.functional import softmax, softmax_cross_entropy_batch
 from repro.nn.layers import (
     Conv1D,
     Dense,
@@ -224,10 +224,17 @@ class TestFunctional:
         assert hot[1] > cold[1]
 
     def test_cross_entropy_decreases_with_correct_confidence(self):
-        good = softmax_cross_entropy(Tensor(np.array([0.0, 5.0])), 1)
-        bad = softmax_cross_entropy(Tensor(np.array([5.0, 0.0])), 1)
-        assert good.item() < bad.item()
+        logits = np.array([[0.0, 5.0], [5.0, 0.0]])
+        loss = [
+            softmax_cross_entropy_batch(Tensor(row[None, :]), [1]).item()
+            for row in logits
+        ]
+        # log-sum-exp oracle: log(1 + e^-5) and log(1 + e^5)
+        np.testing.assert_allclose(
+            loss, [np.log1p(np.exp(-5.0)), np.log1p(np.exp(5.0))], rtol=1e-12
+        )
+        assert loss[0] < loss[1]
 
     def test_bad_label_rejected(self):
         with pytest.raises(ModelError):
-            softmax_cross_entropy(Tensor(np.array([0.0, 1.0])), 5)
+            softmax_cross_entropy_batch(Tensor(np.array([[0.0, 1.0]])), [5])

@@ -1,4 +1,5 @@
-"""LSTM layer: shapes, gradient checks, batched-vs-single equivalence."""
+"""LSTM layer: shapes, gradient checks, and a numpy oracle of the gate
+equations on ragged lengths."""
 
 import numpy as np
 import pytest
@@ -13,15 +14,36 @@ def lstm():
     return LSTM(4, 6, rng=0)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def numpy_lstm(lstm, seq):
+    """Final hidden state of one ``(time, features)`` sequence, written
+    from the gate equations: i, f, g, o = split(x W_x + h W_h + b),
+    c = f c + i g, h = o tanh(c), from zero state."""
+    hidden = lstm.hidden_size
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for x in seq:
+        gates = x @ lstm.w_x.data + h @ lstm.w_h.data + lstm.bias.data
+        i, f, g, o = (gates[k * hidden : (k + 1) * hidden] for k in range(4))
+        c = _sigmoid(f) * c + _sigmoid(i) * np.tanh(g)
+        h = _sigmoid(o) * np.tanh(c)
+    return h
+
+
 class TestShapes:
     def test_sequence_output(self, lstm):
-        seq, (h, c) = lstm(Tensor(np.ones((7, 4))))
-        assert seq.shape == (7, 6)
-        assert h.shape == (6,) and c.shape == (6,)
+        seq, h = lstm.forward_batch(Tensor(np.ones((1, 7, 4))))
+        assert seq.shape == (7, 1, 6)
+        assert h.shape == (1, 6)
 
     def test_bad_input_rejected(self, lstm):
         with pytest.raises(ModelError):
-            lstm(Tensor(np.ones((7, 3))))
+            lstm.forward_batch(Tensor(np.ones((1, 7, 3))))
+        with pytest.raises(ModelError):
+            lstm.forward_batch(Tensor(np.ones((7, 4))))
 
     def test_batched_shapes(self, lstm):
         seq, h_last = lstm.forward_batch(Tensor(np.ones((3, 5, 4))))
@@ -36,36 +58,28 @@ class TestShapes:
 
 
 class TestSemantics:
-    def test_state_threading(self, lstm):
-        """Running two halves with threaded state equals one full run."""
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(6, 4))
-        _, full_state = lstm(Tensor(data))
-        _, half_state = lstm(Tensor(data[:3]))
-        _, threaded = lstm(Tensor(data[3:]), state=half_state)
-        np.testing.assert_allclose(threaded[0].data, full_state[0].data)
-
     def test_batched_matches_single(self, lstm):
+        """Ragged lengths against the numpy oracle: a padded step must
+        leave a shorter sequence's state untouched."""
         rng = np.random.default_rng(2)
-        seqs = [rng.normal(size=(5, 4)), rng.normal(size=(3, 4))]
-        lengths = np.array([5, 3])
-        padded = np.zeros((2, 5, 4))
-        padded[0] = seqs[0]
-        padded[1, :3] = seqs[1]
+        lengths = np.array([5, 3, 1, 4])
+        padded = np.zeros((4, 5, 4))
+        for pos, length in enumerate(lengths):
+            padded[pos, :length] = rng.normal(size=(length, 4))
         _, h_batch = lstm.forward_batch(Tensor(padded), lengths)
-        for pos, seq in enumerate(seqs):
-            _, (h_single, _c) = lstm(Tensor(seq))
+        for pos, length in enumerate(lengths):
             np.testing.assert_allclose(
-                h_batch.data[pos], h_single.data, atol=1e-12
+                h_batch.data[pos], numpy_lstm(lstm, padded[pos, :length]),
+                atol=1e-12,
             )
 
     def test_gradient_check_single(self):
         lstm = LSTM(3, 4, rng=5)
         rng = np.random.default_rng(6)
-        data = rng.normal(size=(4, 3))
+        data = rng.normal(size=(1, 4, 3))
 
         def loss_value():
-            _, (h, _c) = lstm(Tensor(data))
+            _, h = lstm.forward_batch(Tensor(data))
             return (h ** 2.0).sum()
 
         loss_value().backward()

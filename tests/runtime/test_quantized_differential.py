@@ -22,13 +22,13 @@ from repro.nn.quantize import Calibration
 from repro.runtime import Engine, quantize_tape
 from repro.runtime.engine import GraphInput
 from repro.runtime.qtape import quantizable_positions
-from repro.runtime.tape import trace_mvgnn_forward
 
 from tests.runtime.test_engine import _mvgnn, _ragged_inputs
 from tests.runtime.test_tape_differential import (
     SIZE_SETS,
     _mvgnn_variant,
     _packed,
+    record_forward,
 )
 
 #: per-logit absolute drift budget for the calibrated fast tier on the
@@ -86,15 +86,13 @@ class TestExactByteIdentity:
         """The rewrite must not mutate the PR-7 tape it reads."""
         model = _mvgnn()
         x_semantic, x_structural, adj_norm, sizes = _packed(rng, (2, 5, 1))
-        tape = trace_mvgnn_forward(
-            model, x_semantic, x_structural, adj_norm, sizes
-        )
         bindings = {
             "x_semantic": x_semantic,
             "x_structural": x_structural,
             "adj_norm": adj_norm,
             "sizes": sizes,
         }
+        tape = record_forward(model, bindings)
         before = tape.execute(bindings)
         prims_before = [op.prim for op in tape.ops]
         quantize_tape(tape)
@@ -165,9 +163,12 @@ class TestFastDriftBounded:
         adj_matmul, segment_sort_pool all appear in the MV-GNN tape)."""
         model = _mvgnn()
         x_semantic, x_structural, adj_norm, sizes = _packed(rng, (2, 5, 1))
-        tape = trace_mvgnn_forward(
-            model, x_semantic, x_structural, adj_norm, sizes
-        )
+        tape = record_forward(model, {
+            "x_semantic": x_semantic,
+            "x_structural": x_structural,
+            "adj_norm": adj_norm,
+            "sizes": sizes,
+        })
         positions = quantizable_positions(tape)
         assert positions
         prims = {tape.ops[p].prim for p in positions}

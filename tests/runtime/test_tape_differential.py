@@ -1,7 +1,8 @@
 """Differential wall: the tape-compiled forward/backward vs the reference.
 
-Forward: for every fixture configuration (architectures x batch-shape
-classes, including 1-node graphs and single-graph packs) the recorded
+Forward: for every fixture configuration (architectures — MV-GNN, DGCNN
+and both Fig. 8 single-view LSTM models — x batch-shape classes, including
+1-node graphs and single-graph packs) the recorded
 tape — interpreted unfused, fused, and fused-with-reused-buffers — must
 be **byte-identical** to ``forward_batch``.  Backward: the tape's
 mechanical VJP sweep must match the eager ``Tensor.backward`` sweep to
@@ -18,13 +19,14 @@ from repro.dataset.extraction import extract_loop_samples
 from repro.dataset.types import LoopSample
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.mvgnn import MVGNN, MVGNNConfig
+from repro.models.single_view import SingleViewModel
 from repro.nn.batching import block_diagonal_adjacency
 from repro.nn.functional import softmax_cross_entropy_batch
 from repro.nn.tensor import no_grad
 from repro.runtime import Engine, TapeExecutor
 from repro.runtime.engine import GraphInput
-from repro.runtime.tape import trace_dgcnn_forward, trace_mvgnn_forward
-from repro.train.adapters import DGCNNAdapter, MVGNNAdapter
+from repro.runtime.tape import record_tape
+from repro.train.adapters import DGCNNAdapter, MVGNNAdapter, SingleViewAdapter
 
 from tests.helpers import build_mixed_program
 from tests.runtime.test_engine import _mvgnn, _ragged_inputs, _random_graph
@@ -71,6 +73,27 @@ def _mvgnn_variant(name):
     raise AssertionError(name)
 
 
+def record_forward(model, bindings):
+    """Record ``model.forward_batch`` on ``bindings`` (argument name ->
+    value); ``adj_norm`` and ``sizes`` are bound as structure inputs."""
+    objects = {name: bindings[name] for name in ("adj_norm", "sizes")}
+    arrays = {k: v for k, v in bindings.items() if k not in objects}
+    return record_tape(
+        model.forward_batch, arrays, objects, model.named_parameters()
+    )
+
+
+def _single_view(view):
+    """A Fig. 8 single-view model over 12 node features or 5 walk types."""
+    if view == "node":
+        return SingleViewModel(
+            "node", DGCNNConfig(in_features=12, sortpool_k=6), rng=0
+        ).eval()
+    return SingleViewModel(
+        "structural", DGCNNConfig(in_features=8, sortpool_k=6), rng=0
+    ).with_projection(5, rng=1).eval()
+
+
 def _packed(rng, sizes):
     graphs, walks = _ragged_inputs(rng, sizes=sizes)
     x_semantic = np.concatenate([x for x, _ in graphs])
@@ -90,15 +113,13 @@ class TestForwardByteIdentity:
             expected = model.forward_batch(
                 x_semantic, x_structural, adj_norm, size_list
             ).data
-        tape = trace_mvgnn_forward(
-            model, x_semantic, x_structural, adj_norm, size_list
-        )
         bindings = {
             "x_semantic": x_semantic,
             "x_structural": x_structural,
             "adj_norm": adj_norm,
             "sizes": size_list,
         }
+        tape = record_forward(model, bindings)
         # unfused reference interpretation
         np.testing.assert_array_equal(tape.execute(bindings), expected)
         # fused executor, cold buffers
@@ -121,8 +142,23 @@ class TestForwardByteIdentity:
         adj_norm = block_diagonal_adjacency([a for _, a in graphs])
         with no_grad():
             expected = model.forward_batch(x, adj_norm, list(sizes)).data
-        tape = trace_dgcnn_forward(model, x, adj_norm, list(sizes))
         bindings = {"x": x, "adj_norm": adj_norm, "sizes": list(sizes)}
+        tape = record_forward(model, bindings)
+        np.testing.assert_array_equal(tape.execute(bindings), expected)
+        np.testing.assert_array_equal(
+            TapeExecutor(tape).run(bindings, None), expected
+        )
+
+    @pytest.mark.parametrize("view", ["node", "structural"])
+    @pytest.mark.parametrize("sizes", SIZE_SETS)
+    def test_single_view_tape_matches_forward_batch(self, rng, view, sizes):
+        model = _single_view(view)
+        x_semantic, x_structural, adj_norm, size_list = _packed(rng, sizes)
+        x = x_semantic if view == "node" else x_structural
+        with no_grad():
+            expected = model.forward_batch(x, adj_norm, size_list).data
+        bindings = {"x": x, "adj_norm": adj_norm, "sizes": size_list}
+        tape = record_forward(model, bindings)
         np.testing.assert_array_equal(tape.execute(bindings), expected)
         np.testing.assert_array_equal(
             TapeExecutor(tape).run(bindings, None), expected
@@ -132,8 +168,13 @@ class TestForwardByteIdentity:
         """The tape is keyed by B only: replaying the 3-graph recording on a
         batch with different node counts must still be byte-identical."""
         model = _mvgnn()
-        traced = _packed(rng, (2, 5, 1))
-        tape = trace_mvgnn_forward(model, *traced)
+        x_semantic, x_structural, adj_norm, size_list = _packed(rng, (2, 5, 1))
+        tape = record_forward(model, {
+            "x_semantic": x_semantic,
+            "x_structural": x_structural,
+            "adj_norm": adj_norm,
+            "sizes": size_list,
+        })
         executor = TapeExecutor(tape)
         buffers = executor.new_buffers()
         for sizes in ((7, 1, 3), (1, 1, 1), (10, 20, 5)):
@@ -323,6 +364,17 @@ class TestBackwardDifferential:
         )
         self._compare(
             lambda: DGCNNAdapter(config, rng=3), samples, training=True
+        )
+
+    @pytest.mark.parametrize("view", ["node", "structural"])
+    def test_single_view_gradients(self, rng, view):
+        samples = _synthetic_samples(rng, (3, 1, 8, 2))
+        config = DGCNNConfig(
+            in_features=12 if view == "node" else 8, sortpool_k=6
+        )
+        self._compare(
+            lambda: SingleViewAdapter(view, config, walk_types=5, rng=4),
+            samples, training=True,
         )
 
     def test_tapes_keyed_by_mode_and_batch(self, rng):

@@ -22,11 +22,7 @@ import numpy as np
 import pytest
 
 from repro.models.dgcnn import DGCNN, DGCNNConfig
-from repro.runtime.tape import (
-    format_tape,
-    trace_dgcnn_forward,
-    trace_mvgnn_forward,
-)
+from repro.runtime.tape import format_tape, record_tape
 
 from tests.runtime.test_engine import _mvgnn
 from tests.runtime.test_tape_differential import _packed
@@ -46,7 +42,12 @@ def _mvgnn_tape(training=False):
     x_semantic, x_structural, adj_norm, sizes = _packed(
         np.random.default_rng(0), SIZES
     )
-    return trace_mvgnn_forward(model, x_semantic, x_structural, adj_norm, sizes)
+    return record_tape(
+        model.forward_batch,
+        arrays={"x_semantic": x_semantic, "x_structural": x_structural},
+        objects={"adj_norm": adj_norm, "sizes": sizes},
+        params=model.named_parameters(),
+    )
 
 
 def _dgcnn_tape():
@@ -55,7 +56,12 @@ def _dgcnn_tape():
     x_semantic, _x_structural, adj_norm, sizes = _packed(
         np.random.default_rng(0), SIZES
     )
-    return trace_dgcnn_forward(model, x_semantic, adj_norm, sizes)
+    return record_tape(
+        model.forward_batch,
+        arrays={"x": x_semantic},
+        objects={"adj_norm": adj_norm, "sizes": sizes},
+        params=model.named_parameters(),
+    )
 
 
 CASES = {

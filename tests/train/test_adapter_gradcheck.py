@@ -1,12 +1,13 @@
-"""Finite-difference gradcheck of the graph adapters' training route.
+"""Finite-difference gradcheck of the graph adapters' training route
+(MV-GNN, DGCNN and both Fig. 8 single-view LSTM models).
 
 ``loss_and_correct_batched`` runs a packed minibatch forward through a
 recorded tape and its backward through the tape's mechanical VJP sweep.
 The packing tests (``test_batched_training.py``) compare that route with
 itself on other packs; this file checks it against an oracle that shares
 no VJP with it: a central finite difference of the loss in each parameter
-entry.  A planted fault — the ``segment_sort_pool`` VJP scaled by 1.5 —
-must fail the check.
+entry.  Planted faults — the ``segment_sort_pool`` VJP scaled by 1.5, and
+the ``sigmoid`` VJP (the LSTM gates) scaled by 1.5 — must fail the check.
 
 Dropout is off so that every loss evaluation is deterministic.  Biases
 start at zero, which puts every zero-padded SortPooling row exactly on a
@@ -22,7 +23,7 @@ from repro.dataset.types import LoopSample
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNNConfig
 from repro.nn.primitives import PRIMITIVES
-from repro.train import DGCNNAdapter, MVGNNAdapter
+from repro.train import DGCNNAdapter, MVGNNAdapter, SingleViewAdapter
 
 FEATURES = 6
 WALK_TYPES = 4
@@ -66,6 +67,13 @@ ADAPTERS = {
     "dgcnn": lambda: DGCNNAdapter(
         DGCNNConfig(in_features=FEATURES, sortpool_k=4, dropout=0.0), rng=3
     ),
+    "view-node": lambda: SingleViewAdapter(
+        "node", DGCNNConfig(in_features=FEATURES, sortpool_k=4), rng=4
+    ),
+    "view-structural": lambda: SingleViewAdapter(
+        "structural", DGCNNConfig(in_features=5, sortpool_k=4),
+        walk_types=WALK_TYPES, rng=5,
+    ),
 }
 
 
@@ -89,7 +97,9 @@ def gradcheck(adapter, batch, temperature=0.5):
     checked = 0
     for name, param in sorted(adapter.module.named_parameters().items()):
         if param.grad is None:
-            continue  # e.g. MVGNN's unused sub-DGCNN classifier heads
+            # MVGNN's unused sub-DGCNN classifier heads, a single view's
+            # unused DGCNN conv/dense head
+            continue
         analytic = param.grad.ravel()
         flat = param.data.ravel()
         for pos in np.argsort(-np.abs(analytic), kind="stable")[:ENTRIES_PER_PARAM]:
@@ -112,9 +122,8 @@ def test_route_gradients_match_finite_differences(name):
     gradcheck(ADAPTERS[name](), _samples())
 
 
-@pytest.fixture()
-def scaled_sortpool_vjp(monkeypatch):
-    prim = PRIMITIVES["segment_sort_pool"]
+def _scale_vjp(monkeypatch, prim_name):
+    prim = PRIMITIVES[prim_name]
     original = prim.vjp
 
     def scaled(*args):
@@ -123,7 +132,18 @@ def scaled_sortpool_vjp(monkeypatch):
     monkeypatch.setattr(prim, "vjp", scaled)
 
 
+@pytest.fixture()
+def scaled_sortpool_vjp(monkeypatch):
+    _scale_vjp(monkeypatch, "segment_sort_pool")
+
+
 @pytest.mark.parametrize("name", sorted(ADAPTERS))
 def test_gradcheck_rejects_a_scaled_sortpool_vjp(name, scaled_sortpool_vjp):
     with pytest.raises(AssertionError):
         gradcheck(ADAPTERS[name](), _samples())
+
+
+def test_gradcheck_rejects_a_scaled_sigmoid_vjp(monkeypatch):
+    _scale_vjp(monkeypatch, "sigmoid")
+    with pytest.raises(AssertionError):
+        gradcheck(ADAPTERS["view-node"](), _samples())

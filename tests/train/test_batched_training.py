@@ -7,7 +7,8 @@ parameter gradient of a ragged pack have to equal the sums over the same
 graphs packed one at a time, or graphs would leak into each other and
 silently poison every downstream experiment.  These tests pin the two
 together on ragged minibatches (1-node sub-PEGs, dropout on and off) with
-same-seed twin adapters, and pin ``train_model`` itself to bit-stable
+same-seed twin adapters — MV-GNN, DGCNN, Static GNN and both Fig. 8
+single-view LSTM models — and pin ``train_model`` itself to bit-stable
 reproducibility.  The finite-difference gradcheck of the route is
 ``tests/train/test_adapter_gradcheck.py``.
 """
@@ -18,7 +19,6 @@ import pytest
 from repro.dataset.types import LoopDataset, LoopSample
 from repro.models.dgcnn import DGCNNConfig
 from repro.models.mvgnn import MVGNNConfig
-from repro.nn.functional import softmax_cross_entropy
 from repro.nn.layers import normalized_adjacency
 from repro.train import (
     DGCNNAdapter,
@@ -86,6 +86,14 @@ ADAPTERS = {
     "static-gnn": lambda dropout: StaticGNNAdapter(
         _dgcnn_config(dropout), n_dynamic=3, rng=0
     ),
+    "view-node": lambda dropout: SingleViewAdapter(
+        "node", _dgcnn_config(dropout), rng=0
+    ),
+    "view-structural": lambda dropout: SingleViewAdapter(
+        "structural",
+        DGCNNConfig(in_features=8, sortpool_k=5, dropout=dropout),
+        walk_types=WALK_TYPES, rng=0,
+    ),
 }
 
 
@@ -128,7 +136,8 @@ def _assert_same(one_by_one, packed):
     assert grads_one.keys() == grads_pack.keys()
     for name, grad_one in grads_one.items():
         if grad_one is None:
-            # e.g. MVGNN never calls its sub-DGCNN classifier heads: packing
+            # e.g. MVGNN never calls its sub-DGCNN classifier heads, nor a
+        # single-view model its DGCNN's conv/dense head: packing
             # may not flow gradient into a parameter the one-graph packs skip
             assert grads_pack[name] is None, f"{name}: only the pack has grad"
             continue
@@ -184,47 +193,6 @@ class TestDifferential:
 
 
 class TestBatchedDispatch:
-    def test_default_batched_falls_back_to_reference(self):
-        """The LSTM ablation has no packed path: its one route loops over
-        the samples and sums their losses."""
-        adapter = SingleViewAdapter(
-            "node", DGCNNConfig(in_features=FEATURES, sortpool_k=5), rng=0
-        )
-        batch = _ragged_samples([3, 4])
-        loss, correct = adapter.loss_and_correct_batched(batch, 0.5)
-        assert loss.requires_grad
-        assert 0 <= correct <= len(batch)
-        expected = sum(
-            softmax_cross_entropy(
-                adapter.model(s.x_semantic, normalized_adjacency(s.adjacency)),
-                s.label, 0.5,
-            ).item()
-            for s in batch
-        )
-        np.testing.assert_allclose(loss.item(), expected, **GRAD_TOL)
-
-    def test_single_view_normalizes_once_per_sample(self, monkeypatch):
-        """The LSTM ablation normalizes each sample's adjacency once, not
-        once per epoch: two epochs and a predict pass over the training
-        samples make one call per distinct sample."""
-        import repro.train.adapters as adapters
-
-        calls = []
-
-        def counting(adjacency):
-            calls.append(adjacency.shape)
-            return normalized_adjacency(adjacency)
-
-        monkeypatch.setattr(adapters, "normalized_adjacency", counting)
-        samples = _ragged_samples([3, 1, 4, 2, 5])
-        adapter = SingleViewAdapter(
-            "node", DGCNNConfig(in_features=FEATURES, sortpool_k=5), rng=0
-        )
-        config = TrainConfig(epochs=2, lr=2e-3, batch_size=2, sortpool_k=5, seed=1)
-        train_model(adapter, LoopDataset(samples, "toy"), config)
-        adapter.predict(samples)
-        assert len(calls) == len(samples)
-
     def test_prepared_inputs_cached_across_calls(self):
         """Per-sample preparation (normalized adjacency, input transforms)
         is paid once, then reused by every later minibatch."""

@@ -32,14 +32,15 @@ class GraphBatch:
 
     ``x_semantic`` is ``(N_nodes, d_sem)`` and ``x_structural`` is
     ``(N_nodes, walk_types)``, both stacking per-graph node rows in batch
-    order; ``adj_norm`` is the ``(N_nodes, N_nodes)`` row-normalized
+    order (``x_structural`` is None in a pack for a model that reads one
+    node matrix); ``adj_norm`` is the ``(N_nodes, N_nodes)`` row-normalized
     block-diagonal adjacency (scipy CSR when available); ``sizes[g]`` is
     graph ``g``'s node count; ``ids`` carries caller identifiers through to
     prediction output.
     """
 
     x_semantic: np.ndarray
-    x_structural: np.ndarray
+    x_structural: Optional[np.ndarray]
     adj_norm: object
     sizes: np.ndarray
     ids: List[str] = field(default_factory=list)
@@ -61,39 +62,45 @@ class GraphBatch:
     def from_arrays(
         cls,
         semantic: Sequence[np.ndarray],
-        structural: Sequence[np.ndarray],
+        structural: Optional[Sequence[np.ndarray]],
         adjacencies: Sequence[np.ndarray],
         ids: Optional[Sequence[str]] = None,
         pre_normalized: bool = False,
     ) -> "GraphBatch":
         """Pack per-graph ``(n_g, ·)`` feature matrices and adjacencies.
 
+        ``structural=None`` packs no structural matrix (a single-view
+        model's pack).
+
         With ``pre_normalized=True`` each adjacency is taken to be already
         row-normalized (``D̃⁻¹Ã``) and is block-stacked as-is — the training
         path normalizes each sample's adjacency once and reuses it across
         every epoch instead of renormalizing per minibatch.
         """
-        if not (len(semantic) == len(structural) == len(adjacencies)):
+        n_structural = len(semantic if structural is None else structural)
+        if not (len(semantic) == n_structural == len(adjacencies)):
             raise EngineError(
                 f"mismatched batch inputs: {len(semantic)} semantic, "
-                f"{len(structural)} structural, {len(adjacencies)} adjacency"
+                f"{n_structural} structural, {len(adjacencies)} adjacency"
             )
         if not semantic:
             raise EngineError("cannot build an empty GraphBatch")
         sizes = []
-        for pos, (sem, struct, adj) in enumerate(
-            zip(semantic, structural, adjacencies)
-        ):
+        for pos, (sem, adj) in enumerate(zip(semantic, adjacencies)):
             n = adj.shape[0]
-            if sem.shape[0] != n or struct.shape[0] != n:
+            struct_rows = n if structural is None else structural[pos].shape[0]
+            if sem.shape[0] != n or struct_rows != n:
                 raise EngineError(
                     f"graph {pos}: {sem.shape[0]} semantic / "
-                    f"{struct.shape[0]} structural rows vs {n} adjacency rows"
+                    f"{struct_rows} structural rows vs {n} adjacency rows"
                 )
             sizes.append(n)
         return cls(
             x_semantic=np.concatenate(semantic, axis=0),
-            x_structural=np.concatenate(structural, axis=0),
+            x_structural=(
+                None if structural is None
+                else np.concatenate(structural, axis=0)
+            ),
             adj_norm=block_diagonal_adjacency(
                 adjacencies, normalize=not pre_normalized
             ),
